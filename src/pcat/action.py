@@ -66,6 +66,28 @@ def _check_refs(cat: Category, act: PartialAction) -> None:
             raise ValueError(f"action entry ({g!r}, {x!r}) -> {y!r} leaves the carrier")
 
 
+def _c1_witnesses(cat: Category, act: PartialAction) -> tuple[tuple, ...]:
+    t = act.table
+    out: list[tuple] = []
+    for x in act.carrier:
+        if not any((e, x) in t for e in cat.objects):
+            out.append((x,))
+        for e in cat.objects:
+            if (e, x) in t and t[(e, x)] != x:
+                out.append((e, x))
+    return tuple(out)
+
+
+def _c4_witnesses(cat: Category, act: PartialAction) -> tuple[tuple, ...]:
+    t = act.table
+    return tuple(
+        (g, x)
+        for g in cat.morphisms
+        for x in act.carrier
+        if (cat.dom[g], x) in t and (g, x) not in t
+    )
+
+
 def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
     """Check the four category-action axioms, collecting all witnesses.
 
@@ -77,25 +99,12 @@ def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
     """
     _check_refs(cat, act)
     t = act.table
-    c1: list[tuple] = []
     c2: list[tuple] = []
     c3: list[tuple] = []
-    c4: list[tuple] = []
-
-    for x in act.carrier:
-        if not any((e, x) in t for e in cat.objects):
-            c1.append((x,))
-        for e in cat.objects:
-            if (e, x) in t and t[(e, x)] != x:
-                c1.append((e, x))
 
     for (g, x) in sorted(t):
         if (cat.dom[g], x) not in t:
             c2.append((g, x))
-    for g in cat.morphisms:
-        for x in act.carrier:
-            if (cat.dom[g], x) in t and (g, x) not in t:
-                c4.append((g, x))
 
     for (g, h) in sorted(composable_pairs(cat)):
         k = cat.comp.get((g, h))
@@ -111,7 +120,9 @@ def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
             if comp_def != step_def or (comp_def and via_comp != stepwise):
                 c3.append((g, h, x))
 
-    return AxiomReport({"C1": tuple(c1), "C2": tuple(c2), "C3": tuple(c3), "C4": tuple(c4)})
+    return AxiomReport(
+        {"C1": _c1_witnesses(cat, act), "C2": tuple(c2), "C3": tuple(c3), "C4": _c4_witnesses(cat, act)}
+    )
 
 
 def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialAction) -> AxiomReport:
@@ -123,7 +134,6 @@ def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialActio
     """
     _check_refs(cat, act)
     t = act.table
-    base = check_category_axioms(cat, act)
     gr2: list[tuple] = []
     gr3: list[tuple] = []
 
@@ -144,10 +154,10 @@ def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialActio
 
     return AxiomReport(
         {
-            "GR1": base.witnesses["C1"],
+            "GR1": _c1_witnesses(cat, act),
             "GR2": tuple(gr2),
             "GR3": tuple(gr3),
-            "GR4": base.witnesses["C4"],
+            "GR4": _c4_witnesses(cat, act),
         }
     )
 

@@ -63,7 +63,8 @@ class Category:
 
     def identity(self, obj: str) -> str:
         """The identity morphism of an object is the object itself."""
-        assert obj in self.objects
+        if obj not in self.objects:
+            raise ValueError(f"{obj!r} is not an object")
         return obj
 
 
@@ -190,5 +191,6 @@ def is_groupoid(cat: Category) -> Optional[GroupoidWitness]:
         if found is None:
             return None
         inv[g] = found
-    assert all(inv[inv[g]] == g for g in cat.morphisms)
+    if any(inv[inv[g]] != g for g in cat.morphisms):
+        raise ValueError("inverse assignment is not an involution")
     return GroupoidWitness(inv)

@@ -192,14 +192,14 @@ def cmd_topo(args) -> int:
             print(_check_line(label, wit))
         return 1
 
-    axioms = check_category_axioms(scn.category, scn.action)
-    if not axioms.passed("C1", "C2", "C3"):
-        sys.stdout.write(serialize(axioms, "text"))
+    try:
+        glob = build_globalization(scn.category, scn.action)
+    except AxiomError as exc:
+        sys.stdout.write(serialize(exc.report, "text"))
         return 1
 
     tscn = TopScenario(scn.category, scn.action, top_mor, top_space)
     mcont = check_topological_category(scn.category, top_mor)
-    glob = build_globalization(scn.category, scn.action)
 
     target = None
     if args.target:

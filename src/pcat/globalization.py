@@ -92,7 +92,8 @@ def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
         for (gp, h) in by_result.get(g, ()):
             if (h, x) in t:
                 dst = (gp, t[(h, x)])
-                assert dst in els, "one-step relation left the expanded carrier"
+                if dst not in els:
+                    raise RuntimeError("one-step relation left the expanded carrier")
                 if dst != (g, x):
                     out.add(SimPair((g, x), dst, "i", h))
     for x in act.carrier:
@@ -176,43 +177,44 @@ def naive_closure(xbar: XBar, sim: SimRelation) -> Partition:
 
 @dataclass(frozen=True)
 class Globalization:
-    """The quotient action together with everything needed to audit it.
+    """The quotient action together with the facts its audit established.
 
-    ``class_of`` sends each expanded-carrier element to its class
-    representative (the least member); ``action`` is keyed by (morphism,
-    representative); ``embed`` realizes the original carrier inside the
-    quotient; ``witness_trace`` gives, for each element, a chain of one-step
-    relations from its representative.
+    ``classes`` partitions the expanded carrier ``xbar``; ``class_of`` sends
+    each element to its class representative (the least member); ``action``
+    is keyed by (morphism, representative); ``embed`` realizes the original
+    carrier inside the quotient; ``axioms`` is the C1-C4 report of the
+    quotient action from the self-audit, all passing.  Witness chains are
+    not stored: :func:`witness_traces` rebuilds them on request.
     """
 
     category: Category
     source: PartialAction
     xbar: XBar
-    sim: SimRelation
     classes: Partition
     class_of: Mapping[El, El]
     action: Mapping[tuple[str, El], El]
     embed: Mapping[Pt, El]
-    witness_trace: Mapping[El, tuple]
+    axioms: AxiomReport
 
     def as_action(self) -> PartialAction:
         """The quotient action as a plain partial action on representatives."""
         return PartialAction(tuple(c[0] for c in self.classes), dict(self.action))
 
-    def members(self, rep: El) -> tuple[El, ...]:
-        for cls in self.classes:
-            if cls[0] == rep:
-                return cls
-        raise KeyError(rep)
 
+def witness_traces(glob: Globalization) -> dict[El, tuple]:
+    """For each expanded-carrier element, a chain of one-step relations from
+    its class representative.
 
-def _trace_from_reps(classes: Partition, sim: SimRelation) -> dict[El, tuple]:
+    Steps are (src, dst, clause, via, direction), where direction "fwd"
+    walks from src to dst and "rev" from dst to src.  The one-step relation
+    is recomputed here; the construction does not keep it.
+    """
     adj: dict[El, list[tuple]] = {}
-    for p in sim.pairs:
+    for p in sim_pairs(glob.category, glob.source, glob.xbar).pairs:
         adj.setdefault(p.src, []).append((p.dst, (p.src, p.dst, p.clause, p.via, "fwd")))
         adj.setdefault(p.dst, []).append((p.src, (p.src, p.dst, p.clause, p.via, "rev")))
     trace: dict[El, tuple] = {}
-    for cls in classes:
+    for cls in glob.classes:
         rep = cls[0]
         trace[rep] = ()
         frontier = [rep]
@@ -224,64 +226,59 @@ def _trace_from_reps(classes: Partition, sim: SimRelation) -> dict[El, tuple]:
                         trace[b] = trace[a] + (step,)
                         nxt.append(b)
             frontier = nxt
-        assert all(m in trace for m in cls)
+        if any(m not in trace for m in cls):
+            raise RuntimeError(f"class of {rep} is not connected by one-step relations")
     return trace
 
 
 def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     """Run the whole construction and audit its defining invariants.
 
-    Requires C1-C3.  The induced action on classes is computed by scanning
-    class members in canonical order for one whose tag composes with the
-    acting morphism; every composable member is checked to land in the same
-    class before the value is accepted.
+    Requires C1-C3.  The induced action on classes is computed in one pass
+    over class members: a member (h, x) contributes g.[h, x] = [g h, x] for
+    every g composable with h, and every contribution for the same class must
+    land in the same class.  The audit then checks that the induced action is
+    global, that the embedding is injective, and that every class is reached
+    from the embedded carrier; a failure raises ``RuntimeError``.
     """
     xbar = build_xbar(cat, act)
-    sim = sim_pairs(cat, act, xbar)
-    classes = equiv_closure(xbar, sim)
+    classes = equiv_closure(xbar, sim_pairs(cat, act, xbar))
     class_of: dict[El, El] = {}
     for cls in classes:
         for el in cls:
             class_of[el] = cls[0]
 
+    left_of: dict[str, list[tuple[str, str]]] = {}
+    for (g, h), k in cat.comp.items():
+        left_of.setdefault(h, []).append((g, k))
     action: dict[tuple[str, El], El] = {}
-    for g in cat.morphisms:
-        for cls in classes:
-            results = {
-                class_of[(cat.comp[(g, h)], x)]
-                for (h, x) in cls
-                if (g, h) in cat.comp
-            }
-            if results:
-                assert len(results) == 1, f"action of {g} on {cls[0]} is not class-invariant"
-                action[(g, cls[0])] = results.pop()
+    for cls in classes:
+        rep = cls[0]
+        for (h, x) in cls:
+            for g, k in left_of.get(h, ()):
+                dst = class_of[(k, x)]
+                if action.setdefault((g, rep), dst) != dst:
+                    raise RuntimeError(f"action of {g} on {rep} is not class-invariant")
 
     embed: dict[Pt, El] = {}
     for x in act.carrier:
         reps = {class_of[(e, x)] for e in cat.objects if (e, x) in act.table}
-        assert reps, "C1 guarantees an identity step for every point"
-        assert len(reps) == 1, f"identity tags of {x!r} fall in distinct classes"
+        if not reps:
+            raise RuntimeError("C1 guarantees an identity step for every point")
+        if len(reps) != 1:
+            raise RuntimeError(f"identity tags of {x!r} fall in distinct classes")
         embed[x] = reps.pop()
 
-    glob = Globalization(
-        cat,
-        act,
-        xbar,
-        sim,
-        classes,
-        class_of,
-        action,
-        embed,
-        _trace_from_reps(classes, sim),
-    )
-
-    induced = check_category_axioms(cat, glob.as_action())
-    assert induced.all_pass, f"induced action is not global: {induced.witnesses}"
-    assert len(set(embed.values())) == len(embed), "embedding is not injective"
+    induced = check_category_axioms(cat, PartialAction(tuple(c[0] for c in classes), action))
+    if not induced.all_pass:
+        raise RuntimeError(f"induced action is not global: {induced.witnesses}")
+    if len(set(embed.values())) != len(embed):
+        raise RuntimeError("embedding is not injective")
     for cls in classes:
         g, x = cls[0]
-        assert action[(g, embed[x])] == cls[0], "class unreachable from the embedded carrier"
-    return glob
+        if action[(g, embed[x])] != cls[0]:
+            raise RuntimeError("class unreachable from the embedded carrier")
+    return Globalization(cat, act, xbar, classes, class_of, action, embed, induced)
 
 
 @dataclass(frozen=True)
@@ -372,8 +369,8 @@ def mediating(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El
     ``target`` must be a global action over the same category and ``j`` an
     equivariant map from the original action into it.  The value on a class
     is the target step of its representative's tag applied to the embedded
-    point; the audit asserts equivariance and compatibility with the
-    embedding.
+    point; the audit checks equivariance and compatibility with the
+    embedding and raises ``RuntimeError`` if either fails.
     """
     t_rep = check_category_axioms(glob.category, target)
     if not t_rep.all_pass:
@@ -385,11 +382,13 @@ def mediating(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El
     for cls in glob.classes:
         g, x = cls[0]
         val = target.table.get((g, j[x]))
-        assert val is not None, "globality of the target must define this step"
+        if val is None:
+            raise RuntimeError("globality of the target must define this step")
         k[cls[0]] = val
-    y_act = glob.as_action()
-    assert check_g_function(k, y_act, target).ok
-    assert all(k[glob.embed[x]] == j[x] for x in glob.source.carrier)
+    if not check_g_function(k, glob.as_action(), target).ok:
+        raise RuntimeError("mediating map is not equivariant")
+    if any(k[glob.embed[x]] != j[x] for x in glob.source.carrier):
+        raise RuntimeError("mediating map does not extend j")
     return k
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from .category import Category, composable_pairs
-from .action import PartialAction, check_category_axioms
+from .action import PartialAction
 from .globalization import Globalization, mediating
 
 Pt = Any
@@ -194,7 +194,8 @@ def product_topology(a: FiniteTopology, b: FiniteTopology) -> FiniteTopology:
 def subspace_topology(t: FiniteTopology, subset) -> FiniteTopology:
     """Traces of the opens on a subset of the carrier."""
     sub = frozenset(subset)
-    assert sub <= set(t.carrier)
+    if not sub <= set(t.carrier):
+        raise ValueError("subset leaves the carrier")
     return FiniteTopology(
         tuple(p for p in t.carrier if p in sub),
         frozenset(u & sub for u in t.opens),

@@ -1,10 +1,14 @@
 """End-to-end CLI tests: golden outputs, exit codes, and determinism."""
 
 import json
+import sys
 
 from pcat import parse
 
 from conftest import FIXTURE_DIR, fixture_text, golden_text, run_cli
+
+
+STEMS = ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift")
 
 
 def fx(stem):
@@ -121,6 +125,16 @@ def test_globalize_rejects_non_globalizable_action(tmp_path):
     assert "axioms C1 fail (e,1)" in err
 
 
+def test_topo_writes_the_axiom_report_when_c1_fails(tmp_path):
+    bad = tmp_path / "broken.pcat"
+    bad.write_text(
+        "category c\nobject e\nend\naction a\npoint 1 2\nact e 1 = 2\nact e 2 = 2\nend\n"
+    )
+    code, out, err = run_cli(["topo", str(bad)])
+    assert code == 1
+    assert out == "axioms C1 fail (e,1)\naxioms C2 pass\naxioms C3 pass\naxioms C4 pass\n"
+
+
 def test_validate_fails_on_axiom_violating_action(tmp_path):
     bad = tmp_path / "broken.pcat"
     bad.write_text(
@@ -194,3 +208,40 @@ def test_oracle_scenario_suite_runs_clean():
         assert parts[0] == "suite" and parts[2] == "cases" and parts[-1] == "ok"
         assert int(parts[3]) > 0
     assert lines[-1].split()[1] == "scenario"
+
+
+def _record_axiom_checks(monkeypatch) -> list:
+    """Wrap ``check_category_axioms`` in every ``pcat`` module that binds it."""
+    import pcat.action
+    import pcat.cli  # noqa: F401  (bind its names before wrapping)
+
+    orig = pcat.action.check_category_axioms
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pcat" or name.startswith("pcat."):
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, recorded)
+    return calls
+
+
+def test_each_command_checks_the_axioms_once_per_action(monkeypatch, tmp_path):
+    calls = _record_axiom_checks(monkeypatch)
+    target_out = str(tmp_path / "quotient.pcat")
+    expected = [(["validate", fx(stem)], 1) for stem in STEMS]
+    for stem in STEMS:
+        # the source, then the quotient in the self-audit
+        expected.append((["globalize", fx(stem)], 2))
+        expected.append((["globalize", "--json", "--target-out", target_out, fx(stem)], 2))
+    expected.append((["topo", fx("arrow_small_topo")], 2))
+    # the target of a mediation is user input and is checked as well
+    expected.append((["mediate", fx("arrow_small"), "--target", fx("arrow_small_target")], 3))
+    for argv, want in expected:
+        calls.clear()
+        code, _, _ = run_cli(argv)
+        assert code == 0 and len(calls) == want, (argv, len(calls))

@@ -1,5 +1,10 @@
 """Tests for the quotient construction, mediating maps, and receiver enumeration."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from pcat import (
@@ -22,10 +27,11 @@ from pcat import (
     parse,
     sim_pairs,
 )
-from pcat.globalization import _canonical_key
+from pcat.fixtures import FIXTURES
+from pcat.globalization import _canonical_key, witness_traces
 from pcat.oracle import _relabel_as_extension
 
-from conftest import fixture_text
+from conftest import REPO, fixture_text
 
 STEMS = ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift")
 
@@ -145,11 +151,12 @@ def test_witness_trace_chains_are_valid():
     for stem in STEMS:
         cat, act = load(stem)
         glob = build_globalization(cat, act)
-        sim = {(p.src, p.dst) for p in glob.sim.pairs}
+        sim = {(p.src, p.dst) for p in sim_pairs(cat, act, glob.xbar).pairs}
+        traces = witness_traces(glob)
         for cls in glob.classes:
             rep = cls[0]
             for member in cls:
-                chain = glob.witness_trace[member]
+                chain = traces[member]
                 at = rep
                 for (src, dst, clause, via, direction) in chain:
                     assert (src, dst) in sim
@@ -161,6 +168,33 @@ def test_witness_trace_chains_are_valid():
                         assert direction == "rev" and dst == at
                         at = src
                 assert at == member, (stem, member)
+
+
+def test_self_audit_catches_a_sabotaged_closure_under_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        import pcat.globalization as G
+        from pcat.fixtures import FIXTURES
+
+        G.equiv_closure = lambda xbar, sim: tuple((el,) for el in xbar.elements)
+        for name, make in FIXTURES.items():
+            try:
+                G.build_globalization(*make())
+            except RuntimeError:
+                print(name, "raised")
+            else:
+                print(name, "returned")
+        print("optimize", sys.flags.optimize)
+        """
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{n} raised" for n in FIXTURES] + ["optimize 1"]
 
 
 def test_embedding_is_equivariant_and_induces_source():
