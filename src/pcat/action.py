@@ -88,6 +88,36 @@ def _c4_witnesses(cat: Category, act: PartialAction) -> tuple[tuple, ...]:
     )
 
 
+def composites_after(cat: Category) -> dict[str, list[tuple[str, str]]]:
+    """Index each morphism h to the pairs (g, g h) over its composable g."""
+    after: dict[str, list[tuple[str, str]]] = {}
+    for (g, h), k in cat.comp.items():
+        d = cat.dom.get(g)
+        if d is not None and d == cat.cod.get(h):
+            after.setdefault(h, []).append((g, k))
+    return after
+
+
+_UNDEF = object()
+_NO_ROW: dict = {}
+
+
+def _rows(act: PartialAction) -> dict[str, dict[Pt, Pt]]:
+    """The table regrouped by morphism: ``rows[g][x] = g.x``."""
+    rows: dict[str, dict[Pt, Pt]] = {}
+    for (g, x), y in act.table.items():
+        rows.setdefault(g, {})[x] = y
+    return rows
+
+
+def _pair_major(act: PartialAction, witnesses: list[tuple]) -> tuple[tuple, ...]:
+    """Order (g, h, x) witnesses by composable pair, then by x's carrier position."""
+    if not witnesses:
+        return ()
+    pos = {x: i for i, x in enumerate(act.carrier)}
+    return tuple(sorted(witnesses, key=lambda w: (w[0], w[1], pos[w[2]])))
+
+
 def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
     """Check the four category-action axioms, collecting all witnesses.
 
@@ -96,32 +126,30 @@ def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
         dom(g).x.  C3: along a composable pair, the two evaluation orders are
         defined together and agree.  C4 (globality): definedness of dom(g).x
         forces definedness of g.x.
+
+    C3 visits each defined step (h, x) -> y once per g composable after h,
+    so it costs O(defined steps x composable g).
     """
     _check_refs(cat, act)
     t = act.table
-    c2: list[tuple] = []
+    c2 = sorted(key for key in t if (cat.dom[key[0]], key[1]) not in t)
     c3: list[tuple] = []
-
-    for (g, x) in sorted(t):
-        if (cat.dom[g], x) not in t:
-            c2.append((g, x))
-
-    for (g, h) in sorted(composable_pairs(cat)):
-        k = cat.comp.get((g, h))
-        if k is None:
-            continue
-        for x in act.carrier:
-            if (h, x) not in t:
-                continue
-            via_comp = t.get((k, x))
-            stepwise = t.get((g, t[(h, x)]))
-            comp_def = (k, x) in t
-            step_def = (g, t[(h, x)]) in t
-            if comp_def != step_def or (comp_def and via_comp != stepwise):
-                c3.append((g, h, x))
+    rows = _rows(act)
+    after = composites_after(cat)
+    for h, row_h in rows.items():
+        for g, k in after.get(h, ()):
+            row_g, row_k = rows.get(g, _NO_ROW), rows.get(k, _NO_ROW)
+            for x, y in row_h.items():
+                if row_k.get(x, _UNDEF) != row_g.get(y, _UNDEF):
+                    c3.append((g, h, x))
 
     return AxiomReport(
-        {"C1": _c1_witnesses(cat, act), "C2": tuple(c2), "C3": tuple(c3), "C4": _c4_witnesses(cat, act)}
+        {
+            "C1": _c1_witnesses(cat, act),
+            "C2": tuple(c2),
+            "C3": _pair_major(act, c3),
+            "C4": _c4_witnesses(cat, act),
+        }
     )
 
 
@@ -130,33 +158,27 @@ def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialActio
 
     GR1 coincides with C1 and GR4 with C4.  GR2 demands that the inverse
     undoes every defined step; GR3 demands closure of definedness under
-    composition in the stepwise-to-composite direction only.
+    composition in the stepwise-to-composite direction only.  GR3 uses the
+    same step index as C3.
     """
     _check_refs(cat, act)
     t = act.table
-    gr2: list[tuple] = []
+    gr2 = sorted(key for key, y in t.items() if t.get((wit.inverse[key[0]], y)) != key[1])
     gr3: list[tuple] = []
-
-    for (g, x) in sorted(t):
-        y = t[(g, x)]
-        gi = wit.inverse[g]
-        if t.get((gi, y)) != x:
-            gr2.append((g, x))
-
-    for (g, h) in sorted(composable_pairs(cat)):
-        k = cat.comp[(g, h)]
-        for x in act.carrier:
-            if (h, x) not in t:
-                continue
-            y = t[(h, x)]
-            if (g, y) in t and t.get((k, x)) != t[(g, y)]:
-                gr3.append((g, h, x))
+    rows = _rows(act)
+    after = composites_after(cat)
+    for h, row_h in rows.items():
+        for g, k in after.get(h, ()):
+            row_g, row_k = rows.get(g, _NO_ROW), rows.get(k, _NO_ROW)
+            for x, y in row_h.items():
+                if y in row_g and row_k.get(x, _UNDEF) != row_g[y]:
+                    gr3.append((g, h, x))
 
     return AxiomReport(
         {
             "GR1": _c1_witnesses(cat, act),
             "GR2": tuple(gr2),
-            "GR3": tuple(gr3),
+            "GR3": _pair_major(act, gr3),
             "GR4": _c4_witnesses(cat, act),
         }
     )
@@ -174,16 +196,12 @@ class TripleForm:
 
 def to_triple(act: PartialAction) -> TripleForm:
     """Regroup the table by morphism; morphisms absent from it get no entry."""
-    doms: dict[str, set] = {}
-    maps: dict[str, dict] = {}
-    for (g, x), y in act.table.items():
-        doms.setdefault(g, set()).add(x)
-        maps.setdefault(g, {})[x] = y
+    maps = _rows(act)
     return TripleForm(
         act.carrier,
-        {g: frozenset(s) for g, s in doms.items()},
-        {g: frozenset(maps[g].values()) for g in maps},
-        {g: dict(m) for g, m in maps.items()},
+        {g: frozenset(m) for g, m in maps.items()},
+        {g: frozenset(m.values()) for g, m in maps.items()},
+        maps,
     )
 
 

@@ -232,7 +232,8 @@ class _Parser:
             self.err("E_SYNTAX", "expected 'action <name>'", line, toks[-1][1])
         name = self.want_ident(toks[1], line, "an action name")
         self.spans[("action", name)] = Span(line, toks[1][1])
-        points: list[str] = []
+        points: set[str] = set()
+        morphisms = set(category.morphisms)
         table: dict[tuple[str, str], str] = {}
         while True:
             line, toks = self.next_line()
@@ -248,7 +249,7 @@ class _Parser:
                     p = self.want_ident(t, line, "a point identifier")
                     if p in points:
                         self.err("E_DUP_DEF", f"duplicate point {p!r}", line, t[1])
-                    points.append(p)
+                    points.add(p)
                     self.spans[("point", p)] = Span(line, t[1])
             elif head == "act":
                 if len(toks) != 5 or toks[3][0] != "=":
@@ -256,7 +257,7 @@ class _Parser:
                 g = self.want_ident(toks[1], line, "a morphism identifier")
                 x = self.want_ident(toks[2], line, "a point identifier")
                 y = self.want_ident(toks[4], line, "a point identifier")
-                if g not in category.morphisms:
+                if g not in morphisms:
                     self.err("E_UNKNOWN_ID", f"unknown morphism {g!r}", line, toks[1][1])
                 if x not in points:
                     self.err("E_UNKNOWN_ID", f"unknown point {x!r}", line, toks[2][1])

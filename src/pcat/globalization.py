@@ -7,18 +7,24 @@ left.  The embedded copy of the original carrier sits inside the quotient,
 and every global action receiving the original action factors through it
 uniquely.
 
-Two closure routes are kept deliberately separate: a union-find (primary) and
-a naive relational fixpoint (oracle).  They must always agree.
+On the construction path the one-step relation is only ever unioned, so
+:func:`build_globalization` streams it as bare (src, dst) pairs, one batch
+per defined step, with the identity tags of a point chained rather than
+paired off.  :func:`sim_pairs` builds the same relation as sorted,
+deduplicated :class:`SimPair` records; it feeds only :func:`witness_traces`
+and the oracles.  Two closure routes are kept deliberately separate: a
+union-find (primary) and a naive relational fixpoint (oracle).  They must
+always agree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .category import Category, composable_pairs, is_groupoid
-from .action import AxiomReport, PartialAction, check_category_axioms
+from .action import AxiomReport, PartialAction, check_category_axioms, composites_after
 
 Pt = Any
 El = tuple[str, Pt]
@@ -59,7 +65,12 @@ class SimPair:
 
 @dataclass(frozen=True)
 class SimRelation:
+    """The one-step relation as records; iterates as its (src, dst) pairs."""
+
     pairs: tuple[SimPair, ...]
+
+    def __iter__(self) -> Iterator[tuple[El, El]]:
+        return ((p.src, p.dst) for p in self.pairs)
 
 
 def _require_c123(cat: Category, act: PartialAction) -> None:
@@ -81,7 +92,12 @@ def build_xbar(cat: Category, act: PartialAction) -> XBar:
 
 
 def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
-    """All non-reflexive one-step relations between expanded-carrier elements."""
+    """All non-reflexive one-step relations between expanded-carrier elements.
+
+    Sorted and deduplicated, with clause "ii" listing every ordered pair of
+    identity tags.  Only :func:`witness_traces` and the oracles use it;
+    :func:`build_globalization` unions a lean stream of the same relation.
+    """
     t = act.table
     out: set[SimPair] = set()
     els = set(xbar.elements)
@@ -103,45 +119,55 @@ def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
     return SimRelation(tuple(sorted(out, key=lambda p: (p.src, p.dst, p.clause, p.via or ""))))
 
 
-class _UnionFind:
-    """Plain union-find with path compression over hashable items."""
-
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-        self.size = {i: 1 for i in items}
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 Partition = tuple[tuple[El, ...], ...]
 
 
-def equiv_closure(xbar: XBar, sim: SimRelation) -> Partition:
+def _one_step(
+    cat: Category, act: PartialAction, after: Mapping[str, list[tuple[str, str]]]
+) -> Iterator[tuple[El, El]]:
+    """The one-step relation as bare (src, dst) pairs, for the closure only.
+
+    Each defined step (h, x) -> y relates (g h, x) to (g, y) for every g
+    composable after h; a point's identity tags are chained.  Reflexive and
+    repeated pairs are not filtered, since unioning them changes nothing.
+    """
+    t = act.table
+    for (h, x), y in t.items():
+        if (cat.cod[h], y) not in t:
+            raise RuntimeError("one-step relation left the expanded carrier")
+        for g, k in after.get(h, ()):
+            yield (k, x), (g, y)
+    for x in act.carrier:
+        tags = [(e, x) for e in cat.objects if (e, x) in t]
+        yield from zip(tags, tags[1:])
+
+
+def equiv_closure(xbar: XBar, sim: Iterable[tuple[El, El]]) -> Partition:
     """Partition the expanded carrier by the closure of the one-step relation.
 
-    Classes are sorted internally and listed by their least member.
+    ``sim`` is any iterable of (src, dst) element pairs, such as a
+    :class:`SimRelation`.  Union-find runs over the indices of
+    ``xbar.elements``.  Classes are sorted internally and listed by their
+    least member.
     """
-    uf = _UnionFind(xbar.elements)
-    for p in sim.pairs:
-        uf.union(p.src, p.dst)
-    groups: dict[El, list[El]] = {}
-    for el in xbar.elements:
-        groups.setdefault(uf.find(el), []).append(el)
+    index = {el: i for i, el in enumerate(xbar.elements)}
+    parent = list(range(len(index)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for src, dst in sim:
+        a, b = find(index[src]), find(index[dst])
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups: dict[int, list[El]] = {}
+    for i, el in enumerate(xbar.elements):
+        groups.setdefault(find(i), []).append(el)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
@@ -242,20 +268,18 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     from the embedded carrier; a failure raises ``RuntimeError``.
     """
     xbar = build_xbar(cat, act)
-    classes = equiv_closure(xbar, sim_pairs(cat, act, xbar))
+    after = composites_after(cat)
+    classes = equiv_closure(xbar, _one_step(cat, act, after))
     class_of: dict[El, El] = {}
     for cls in classes:
         for el in cls:
             class_of[el] = cls[0]
 
-    left_of: dict[str, list[tuple[str, str]]] = {}
-    for (g, h), k in cat.comp.items():
-        left_of.setdefault(h, []).append((g, k))
     action: dict[tuple[str, El], El] = {}
     for cls in classes:
         rep = cls[0]
         for (h, x) in cls:
-            for g, k in left_of.get(h, ()):
+            for g, k in after.get(h, ()):
                 dst = class_of[(k, x)]
                 if action.setdefault((g, rep), dst) != dst:
                     raise RuntimeError(f"action of {g} on {rep} is not class-invariant")

@@ -1,5 +1,7 @@
 """Tests for partial-action presentations and axiom checkers."""
 
+import random
+
 import pytest
 
 from pcat import (
@@ -17,6 +19,10 @@ from pcat import (
     to_functor,
     to_triple,
 )
+
+from pcat.category import composable_pairs
+from pcat.fixtures import FIXTURES
+from pcat.oracle import connected_groupoid, random_groupoid, random_points, random_table
 
 from conftest import fixture_text
 
@@ -288,3 +294,58 @@ def test_from_functor_rejects_violations():
     partial_map = {k: v for k, v in f.maps["g"].items() if k != ("e", "1")}
     with pytest.raises(ValueError):
         from_functor(cat, SetFunctor(f.object_sets, {**f.maps, "g": partial_map}))
+
+
+def _c3_gr3_pair_major(cat, act):
+    """Reference C3 and GR3 witnesses: every composable pair, then every point."""
+    t = act.table
+    c3, gr3 = [], []
+    for (g, h) in sorted(composable_pairs(cat)):
+        k = cat.comp[(g, h)]
+        for x in act.carrier:
+            if (h, x) not in t:
+                continue
+            y = t[(h, x)]
+            comp_def, step_def = (k, x) in t, (g, y) in t
+            if comp_def != step_def or (comp_def and t[(k, x)] != t[(g, y)]):
+                c3.append((g, h, x))
+            if step_def and t.get((k, x)) != t[(g, y)]:
+                gr3.append((g, h, x))
+    return tuple(c3), tuple(gr3)
+
+
+def _redirected_s3_restriction(seed):
+    """A restriction of the regular action of the 3-object S3 groupoid with
+    some non-identity steps sent to another point over the same object."""
+    rng = random.Random(seed)
+    cat = connected_groupoid(3, "s3")
+    kept = set(rng.sample(cat.morphisms, 40))
+    table = {}
+    for (g, m), gm in cat.comp.items():
+        if m in kept and gm in kept:
+            table[(g, m)] = gm
+    steps = sorted(key for key in table if key[0] not in cat.objects)
+    for key in rng.sample(steps, 8):
+        over = sorted(p for p in kept if cat.cod[p] == cat.cod[table[key]] and p != table[key])
+        table[key] = rng.choice(over)
+    return cat, PartialAction.make(kept, table)
+
+
+def test_c3_and_gr3_witnesses_come_in_pair_major_order():
+    cases = [make() for make in FIXTURES.values()]
+    rng = random.Random(4)
+    for _ in range(300):
+        cat = random_groupoid(rng)
+        cases.append((cat, random_table(rng, cat, random_points(rng), rng.uniform(0.2, 0.9))))
+    cases += [_redirected_s3_restriction(seed) for seed in range(3)]
+    multi = 0
+    for cat, act in cases:
+        c3, gr3 = _c3_gr3_pair_major(cat, act)
+        assert check_category_axioms(cat, act).witnesses["C3"] == c3
+        wit = is_groupoid(cat)
+        if wit:
+            assert check_groupoid_axioms(cat, wit, act).witnesses["GR3"] == gr3
+        multi += len({w[:2] for w in c3}) > 1 and len({w[2] for w in c3}) > 1
+    assert multi > 100
+    for cat, act in cases[-3:]:
+        assert _c3_gr3_pair_major(cat, act)[0]

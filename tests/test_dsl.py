@@ -165,6 +165,7 @@ PARSE_ERRORS = [
         3,
         5,
     ),
+    ("category c\nobject e\nend\naction a\npoint 1\nact e 1 = 9\nend\n", "E_UNKNOWN_ID", 6, 11),
 ]
 
 

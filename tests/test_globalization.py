@@ -1,6 +1,7 @@
 """Tests for the quotient construction, mediating maps, and receiver enumeration."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -29,7 +30,7 @@ from pcat import (
 )
 from pcat.fixtures import FIXTURES
 from pcat.globalization import _canonical_key, witness_traces
-from pcat.oracle import _relabel_as_extension
+from pcat.oracle import _relabel_as_extension, random_category, random_points, random_valid_action
 
 from conftest import REPO, fixture_text
 
@@ -145,6 +146,19 @@ def test_quotient_actions_are_global():
         wit = is_groupoid(cat)
         if wit:
             assert check_groupoid_axioms(cat, wit, quotient).all_pass, stem
+
+
+def test_construction_closure_matches_naive_closure_of_sim_pairs():
+    cases = [make() for make in FIXTURES.values()]
+    rng = random.Random(11)
+    while len(cases) < len(FIXTURES) + 200:
+        cat = random_category(rng)
+        act = random_valid_action(rng, cat, random_points(rng), rng.uniform(0.15, 0.8))
+        if act is not None:
+            cases.append((cat, act))
+    for cat, act in cases:
+        glob = build_globalization(cat, act)
+        assert glob.classes == naive_closure(glob.xbar, sim_pairs(cat, act, glob.xbar))
 
 
 def test_witness_trace_chains_are_valid():
