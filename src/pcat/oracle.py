@@ -34,9 +34,9 @@ from .topology import (
     FiniteTopology,
     TopScenario,
     check_continuous_action,
+    check_embedding_open,
     check_graph_open,
     check_star_open,
-    embedding_open_verdict,
 )
 
 
@@ -585,7 +585,7 @@ def suite_embedding_open(seed: int, samples: int = 1000) -> tuple[SuiteResult, i
             continue
         hypothesis_passes += 1
         glob = build_globalization(cat, act)
-        verdict = embedding_open_verdict(scn, glob)
+        verdict = check_embedding_open(scn, glob)
         if not verdict.ok:
             failures.append(f"sample {ran}: open embedding fails, witnesses {verdict.witnesses}")
     result = SuiteResult("topo-embedding-open", ran, tuple(failures))

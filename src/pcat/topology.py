@@ -1,21 +1,22 @@
 """Finite topologies and continuity checks for topologized partial actions.
 
-Public topologies are explicit families of open sets.  Internally, checks on
-derived spaces (products, subspaces, quotients) work with minimal open
-neighborhoods instead: every finite topology is determined by the smallest
-open set around each point, and the derived neighborhoods have closed forms,
-so no check ever has to materialize a product topology.  Explicit families
-are only ever materialized by the operations whose result is itself a
-topology, which are meant for small carriers.
+A finite topology is held as the minimal open neighborhood U_x of each point
+(``Space``): every open set is a union of them, products, subspaces and
+quotients have closed forms, and a map f is continuous iff f(U_x) lies in
+U_f(x) for every x, so every verdict is decided point by point.  Explicit
+open families (``FiniteTopology``) appear only where the input spells them
+out, in the DSL's topology blocks, and in the oracles.  Every check accepts
+either form.  A failing verdict lists its witness opens from the family it
+was given, which on a ``Space`` means spelling out up to 2^n open sets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Union
 
-from .category import Category, composable_pairs
+from .category import Category
 from .action import PartialAction
 from .globalization import Globalization, mediating
 
@@ -38,17 +39,11 @@ class FiniteTopology:
 
     @staticmethod
     def discrete(carrier) -> "FiniteTopology":
-        pts = sorted(set(carrier), key=_skey)
-        opens = set()
-        for r in range(len(pts) + 1):
-            for combo in itertools.combinations(pts, r):
-                opens.add(frozenset(combo))
-        return FiniteTopology(tuple(pts), frozenset(opens))
+        return Space.discrete(carrier).to_topology()
 
     @staticmethod
     def indiscrete(carrier) -> "FiniteTopology":
-        pts = tuple(sorted(set(carrier), key=_skey))
-        return FiniteTopology(pts, frozenset({frozenset(), frozenset(pts)}))
+        return FiniteTopology.make(carrier, [set(carrier)])
 
     def is_open(self, s) -> bool:
         return frozenset(s) in self.opens
@@ -92,21 +87,12 @@ def validate_topology(t: FiniteTopology) -> TopologyReport:
     return TopologyReport(tuple(bad))
 
 
-def min_nbhd(t: FiniteTopology, p) -> frozenset:
-    """Smallest open set containing ``p`` (the carrier if no finer open exists)."""
-    out = frozenset(t.carrier)
-    for u in t.opens:
-        if p in u and u < out:
-            out = u
-    return out
-
-
 class Space:
-    """A finite space presented by the minimal open neighborhood of each point.
+    """A finite topology presented by the minimal open neighborhood of each point.
 
-    Valid for exactly the data a finite topology carries; used internally so
-    that products, subspaces, and quotients never need their open families
-    spelled out.
+    The canonical form: discrete spaces, spaces read off a valid family, and
+    their products, subspaces and quotients are valid by construction, and
+    none of them spells out its open family.
     """
 
     __slots__ = ("carrier", "nbhd")
@@ -117,7 +103,19 @@ class Space:
 
     @classmethod
     def from_topology(cls, t: FiniteTopology) -> "Space":
-        return cls(t.carrier, {p: min_nbhd(t, p) for p in t.carrier})
+        """U_p is the intersection of the opens around p (t must be valid)."""
+        full = frozenset(t.carrier)
+        nbhd = {p: full.intersection(*(u for u in t.opens if p in u)) for p in t.carrier}
+        return cls(t.carrier, nbhd)
+
+    @classmethod
+    def of(cls, t: "Topology") -> "Space":
+        return t if isinstance(t, Space) else cls.from_topology(t)
+
+    @classmethod
+    def discrete(cls, carrier) -> "Space":
+        pts = sorted(set(carrier), key=_skey)
+        return cls(pts, {p: frozenset((p,)) for p in pts})
 
     @classmethod
     def product(cls, a: "Space", b: "Space") -> "Space":
@@ -185,38 +183,50 @@ class Space:
     def to_topology(self) -> FiniteTopology:
         return FiniteTopology(self.carrier, self.opens())
 
+    def count_opens(self) -> int:
+        """Number of open sets, counted without spelling them out.
 
-def product_topology(a: FiniteTopology, b: FiniteTopology) -> FiniteTopology:
-    """Explicit product topology; exponential in general, meant for small carriers."""
-    return Space.product(Space.from_topology(a), Space.from_topology(b)).to_topology()
+        The opens are the down-sets of the specialization preorder (x below y
+        iff x is in U_y).  Points with equal neighborhoods are collapsed, the
+        count is a product over connected components, and a component P is
+        counted by f(P) = f(P minus up(x)) + f(P minus down(x)), memoized.
+        A discrete space costs O(n); dense components can cost exponential
+        time, since counting down-sets is #P-hard (Provan & Ball 1983).
+        """
+        index: dict[frozenset, int] = {}
+        for p in self.carrier:
+            index.setdefault(self.nbhd[p], len(index))
+        down, up = [0] * len(index), [0] * len(index)
+        for u, i in index.items():
+            for q in u:
+                j = index[self.nbhd[q]]
+                down[i] |= 1 << j
+                up[j] |= 1 << i
+        memo, total, left = {0: 1}, 1, (1 << len(index)) - 1
+        while left:
+            part, todo = 0, left & -left
+            while todo:
+                low = todo & -todo
+                part |= low
+                i = low.bit_length() - 1
+                todo = (todo | down[i] | up[i]) & ~part
+            left &= ~part
+            stack = [part]
+            while stack:
+                m = stack[-1]
+                x = (m & -m).bit_length() - 1
+                split = (m & ~up[x], m & ~down[x])
+                missing = [r for r in split if r not in memo]
+                if missing:
+                    stack.extend(missing)
+                else:
+                    memo[m] = memo[split[0]] + memo[split[1]]
+                    stack.pop()
+            total *= memo[part]
+        return total
 
 
-def subspace_topology(t: FiniteTopology, subset) -> FiniteTopology:
-    """Traces of the opens on a subset of the carrier."""
-    sub = frozenset(subset)
-    if not sub <= set(t.carrier):
-        raise ValueError("subset leaves the carrier")
-    return FiniteTopology(
-        tuple(p for p in t.carrier if p in sub),
-        frozenset(u & sub for u in t.opens),
-    )
-
-
-def quotient_topology(t: FiniteTopology, class_of: Mapping) -> FiniteTopology:
-    """Finest topology on representatives making the projection continuous.
-
-    Computed exactly: the opens are the images of the saturated opens.
-    """
-    members: dict[Any, set] = {}
-    for p in t.carrier:
-        members.setdefault(class_of[p], set()).add(p)
-    reps = tuple(sorted(members, key=_skey))
-    opens = set()
-    for u in t.opens:
-        touched = {class_of[p] for p in u}
-        if all(members[r] <= u for r in touched):
-            opens.add(frozenset(touched))
-    return FiniteTopology(reps, frozenset(opens))
+Topology = Union[FiniteTopology, Space]
 
 
 @dataclass(frozen=True)
@@ -235,46 +245,58 @@ def _fmt_set(u) -> tuple:
     return tuple(sorted(u, key=_skey))
 
 
-def check_continuous_partial(
-    f: Mapping, dom_top: FiniteTopology, cod_top: FiniteTopology
-) -> Verdict:
+def _failing_opens(top: Topology, fails) -> tuple:
+    """The opens of ``top``'s family on which ``fails`` holds, in canonical order."""
+    family = top.opens() if isinstance(top, Space) else top.opens
+    return tuple(_fmt_set(u) for u in sorted(family, key=_fmt_set) if fails(u))
+
+
+def _discontinuities(f: Mapping, near, cod: Space, points) -> tuple:
+    """The points x, in the order given, where the partial map ``f`` takes
+    some point of U_x within its domain out of U_f(x); ``near(x)`` lists U_x
+    in the ambient space."""
+    return tuple(x for x in points if not all(f[p] in cod.nbhd[f[x]] for p in near(x) if p in f))
+
+
+def _continuity_witnesses(f: Mapping, near, cod_top: Topology) -> tuple:
+    """Opens of the codomain whose preimage under the partial map ``f`` is not
+    relatively open in the domain of ``f``.  Decided point by point; only a
+    discontinuous map has its codomain family scanned for witnesses."""
+    if not _discontinuities(f, near, Space.of(cod_top), f):
+        return ()
+
+    def fails(v):
+        pre = {p for p in f if f[p] in v}
+        return not all(p in pre for x in pre for p in near(x) if p in f)
+
+    return _failing_opens(cod_top, fails)
+
+
+def check_continuous_partial(f: Mapping, dom_top: Topology, cod_top: Topology) -> Verdict:
     """Continuity of a partial map on its definedness domain.
 
     The domain carries the subspace topology; a witness is an open of the
     codomain whose preimage is not relatively open.
     """
-    dom_space = Space.from_topology(dom_top).subspace(set(f))
-    bad = []
-    for v in sorted(cod_top.opens, key=_fmt_set):
-        pre = {p for p in f if f[p] in v}
-        if not all(dom_space.nbhd[p] <= pre for p in pre):
-            bad.append(_fmt_set(v))
-    return Verdict("continuous_partial", tuple(bad))
+    dom = Space.of(dom_top).nbhd
+    return Verdict("continuous_partial", _continuity_witnesses(f, dom.__getitem__, cod_top))
 
 
-def check_topological_category(cat: Category, top_mor: FiniteTopology) -> Verdict:
+def _product_near(a: Space, b: Space):
+    return lambda gx: itertools.product(a.nbhd[gx[0]], b.nbhd[gx[1]])
+
+
+def check_topological_category(cat: Category, top_mor: Topology) -> Verdict:
     """Continuity of composition on its domain inside the morphism square.
 
     Witnesses are opens of the morphism space whose composition preimage is
     not relatively open among the composable pairs.
     """
-    mor_space = Space.from_topology(top_mor)
-    pairs = sorted(composable_pairs(cat))
-    bad = []
-    for v in sorted(top_mor.opens, key=_fmt_set):
-        pre = {(g, h) for (g, h) in pairs if cat.comp.get((g, h)) in v}
-        ok = all(
-            all(
-                (gp, hp) in pre
-                for gp in mor_space.nbhd[g]
-                for hp in mor_space.nbhd[h]
-                if (gp, hp) in cat.comp
-            )
-            for (g, h) in pre
-        )
-        if not ok:
-            bad.append(_fmt_set(v))
-    return Verdict("topological_category", tuple(bad))
+    mor = Space.of(top_mor)
+    return Verdict(
+        "topological_category",
+        _continuity_witnesses(cat.comp, _product_near(mor, mor), top_mor),
+    )
 
 
 @dataclass(frozen=True)
@@ -283,8 +305,8 @@ class TopScenario:
 
     category: Category
     action: PartialAction
-    top_mor: FiniteTopology
-    top_space: FiniteTopology
+    top_mor: Topology
+    top_space: Topology
 
 
 @dataclass(frozen=True)
@@ -307,29 +329,12 @@ def check_continuous_action(scn: TopScenario) -> ActionContinuityReport:
         dom_e = frozenset(x for x in scn.action.carrier if (e, x) in t)
         if not scn.top_space.is_open(dom_e):
             ca1.append(e)
-
-    mor_space = Space.from_topology(scn.top_mor)
-    pt_space = Space.from_topology(scn.top_space)
-    gamma = set(t)
-    ca2 = []
-    for v in sorted(scn.top_space.opens, key=_fmt_set):
-        pre = {gx for gx in gamma if t[gx] in v}
-        ok = all(
-            all(
-                (gp, xp) in pre
-                for gp in mor_space.nbhd[g]
-                for xp in pt_space.nbhd[x]
-                if (gp, xp) in gamma
-            )
-            for (g, x) in pre
-        )
-        if not ok:
-            ca2.append(_fmt_set(v))
-    return ActionContinuityReport(tuple(ca1), tuple(ca2))
+    near = _product_near(Space.of(scn.top_mor), Space.of(scn.top_space))
+    return ActionContinuityReport(tuple(ca1), _continuity_witnesses(t, near, scn.top_space))
 
 
-def check_star_open(cat: Category, top_mor: FiniteTopology) -> Verdict:
-    """Each object's incoming-morphism set dom^-1(e) must be open."""
+def check_star_open(cat: Category, top_mor: Topology) -> Verdict:
+    """Each object's outgoing-morphism set dom^-1(e) must be open."""
     bad = []
     for e in cat.objects:
         star = frozenset(g for g in cat.morphisms if cat.dom[g] == e)
@@ -340,55 +345,40 @@ def check_star_open(cat: Category, top_mor: FiniteTopology) -> Verdict:
 
 def check_graph_open(scn: TopScenario) -> Verdict:
     """The definedness domain of the action must be open in the product."""
-    mor_space = Space.from_topology(scn.top_mor)
-    pt_space = Space.from_topology(scn.top_space)
-    gamma = set(scn.action.table)
-    bad = []
-    for (g, x) in sorted(gamma):
-        rect = itertools.product(mor_space.nbhd[g], pt_space.nbhd[x])
-        if not all(cell in gamma for cell in rect):
-            bad.append((g, x))
+    near = _product_near(Space.of(scn.top_mor), Space.of(scn.top_space))
+    gamma = scn.action.table
+    bad = [gx for gx in sorted(gamma) if not all(cell in gamma for cell in near(gx))]
     return Verdict("graph_open", tuple(bad))
-
-
-def _expanded_space(scn: TopScenario, glob: Globalization) -> Space:
-    prod = Space.product(
-        Space.from_topology(scn.top_mor), Space.from_topology(scn.top_space)
-    )
-    return prod.subspace(set(glob.xbar.elements))
 
 
 def quotient_space(scn: TopScenario, glob: Globalization) -> Space:
     """The quotient carrier with its minimal class neighborhoods."""
-    return _expanded_space(scn, glob).quotient(dict(glob.class_of))
+    prod = Space.product(Space.of(scn.top_mor), Space.of(scn.top_space))
+    return prod.subspace(set(glob.xbar.elements)).quotient(dict(glob.class_of))
 
 
-def check_embedding_open(scn: TopScenario, glob: Globalization, top_y: FiniteTopology) -> Verdict:
-    """Openness of the embedding: images of carrier opens must be open in the quotient."""
-    bad = []
-    for u in sorted(scn.top_space.opens, key=_fmt_set):
-        img = frozenset(glob.embed[x] for x in u)
-        if not top_y.is_open(img):
-            bad.append(_fmt_set(u))
-    return Verdict("embedding_open", tuple(bad))
+def check_embedding_open(
+    scn: TopScenario, glob: Globalization, yspace: Optional[Topology] = None
+) -> Verdict:
+    """Openness of the embedding: images of carrier opens must be open in the
+    quotient (``yspace``, built here when not given).  Every open is a union
+    of minimal neighborhoods, so it suffices that each U_x has an open image."""
+    ys = quotient_space(scn, glob) if yspace is None else yspace
 
+    def fails(u):
+        return not ys.is_open({glob.embed[x] for x in u})
 
-def embedding_open_verdict(scn: TopScenario, glob: Globalization) -> Verdict:
-    """Openness of the embedding without materializing the quotient topology."""
-    yspace = quotient_space(scn, glob)
-    bad = []
-    for u in sorted(scn.top_space.opens, key=_fmt_set):
-        img = frozenset(glob.embed[x] for x in u)
-        if not yspace.is_open(img):
-            bad.append(_fmt_set(u))
-    return Verdict("embedding_open", tuple(bad))
+    pts = Space.of(scn.top_space)
+    if any(fails(pts.nbhd[x]) for x in pts.carrier):
+        return Verdict("embedding_open", _failing_opens(scn.top_space, fails))
+    return Verdict("embedding_open", ())
 
 
 @dataclass(frozen=True)
 class TopGlobalization:
-    """Quotient topology plus the continuity conclusions of the open-embedding theorem."""
+    """Quotient space plus the continuity conclusions of the open-embedding theorem."""
 
-    top_y: FiniteTopology
+    top_y: Space
     ca: ActionContinuityReport
     star: Verdict
     graph: Verdict
@@ -401,7 +391,7 @@ class TopGlobalization:
 def topologize_globalization(
     scn: TopScenario,
     glob: Globalization,
-    target: Optional[tuple[PartialAction, FiniteTopology, Mapping]] = None,
+    target: Optional[tuple[PartialAction, Topology, Mapping]] = None,
 ) -> TopGlobalization:
     """Push the topologies through the construction and report every verdict.
 
@@ -412,43 +402,32 @@ def topologize_globalization(
     continuity is reported as well.
     """
     yspace = quotient_space(scn, glob)
-    top_y = yspace.to_topology()
 
     ca = check_continuous_action(scn)
     star = check_star_open(scn.category, scn.top_mor)
     graph = check_graph_open(scn)
 
-    pt_space = Space.from_topology(scn.top_space)
-    bad_embed = []
-    for x in scn.action.carrier:
-        img = {glob.embed[p] for p in pt_space.nbhd[x]}
-        if not img <= yspace.nbhd[glob.embed[x]]:
-            bad_embed.append(x)
-    embed_cont = Verdict("embedding_continuous", tuple(bad_embed))
+    near = Space.of(scn.top_space).nbhd.__getitem__
+    embed_cont = Verdict(
+        "embedding_continuous",
+        _discontinuities(glob.embed, near, yspace, scn.action.carrier),
+    )
+    near = _product_near(Space.of(scn.top_mor), yspace)
+    act_cont = Verdict(
+        "action_continuous",
+        _discontinuities(glob.action, near, yspace, sorted(glob.action)),
+    )
 
-    mor_space = Space.from_topology(scn.top_mor)
-    gamma_y = set(glob.action)
-    bad_act = []
-    for (g, rep) in sorted(gamma_y):
-        out_nbhd = yspace.nbhd[glob.action[(g, rep)]]
-        for gp in mor_space.nbhd[g]:
-            for rp in yspace.nbhd[rep]:
-                if (gp, rp) in gamma_y and glob.action[(gp, rp)] not in out_nbhd:
-                    bad_act.append((g, rep))
-    act_cont = Verdict("action_continuous", tuple(sorted(set(bad_act))))
-
-    embed_open = check_embedding_open(scn, glob, top_y)
+    embed_open = check_embedding_open(scn, glob, yspace)
 
     k_cont = None
     if target is not None:
         t_act, t_top, j = target
         k = mediating(glob, t_act, j)
-        t_space = Space.from_topology(t_top)
-        bad_k = []
-        for rep in yspace.carrier:
-            img = {k[r] for r in yspace.nbhd[rep]}
-            if not img <= t_space.nbhd[k[rep]]:
-                bad_k.append(rep)
-        k_cont = Verdict("mediating_continuous", tuple(bad_k))
+        near = yspace.nbhd.__getitem__
+        k_cont = Verdict(
+            "mediating_continuous",
+            _discontinuities(k, near, Space.of(t_top), yspace.carrier),
+        )
 
-    return TopGlobalization(top_y, ca, star, graph, embed_cont, act_cont, embed_open, k_cont)
+    return TopGlobalization(yspace, ca, star, graph, embed_cont, act_cont, embed_open, k_cont)

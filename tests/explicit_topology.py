@@ -1,0 +1,88 @@
+"""Explicit-family routes kept as cross-check oracles for ``pcat.topology``.
+
+The library holds finite topologies as minimal open neighborhoods and decides
+every verdict point by point.  These functions do the same work the long way,
+over spelled-out open families, so the tests can compare the two on small
+carriers.
+"""
+
+from pcat import FiniteTopology, Space
+from pcat.topology import _fmt_set, _skey
+
+
+def min_nbhd(t: FiniteTopology, p) -> frozenset:
+    """Smallest open set containing ``p`` (the carrier if no finer open exists)."""
+    out = frozenset(t.carrier)
+    for u in t.opens:
+        if p in u and u < out:
+            out = u
+    return out
+
+
+def product_topology(a: FiniteTopology, b: FiniteTopology) -> FiniteTopology:
+    """Explicit product topology; exponential in general, meant for small carriers."""
+    return Space.product(Space.from_topology(a), Space.from_topology(b)).to_topology()
+
+
+def subspace_topology(t: FiniteTopology, subset) -> FiniteTopology:
+    """Traces of the opens on a subset of the carrier."""
+    sub = frozenset(subset)
+    if not sub <= set(t.carrier):
+        raise ValueError("subset leaves the carrier")
+    return FiniteTopology(
+        tuple(p for p in t.carrier if p in sub),
+        frozenset(u & sub for u in t.opens),
+    )
+
+
+def quotient_topology(t: FiniteTopology, class_of) -> FiniteTopology:
+    """Finest topology on representatives making the projection continuous.
+
+    Computed exactly: the opens are the images of the saturated opens.
+    """
+    members = {}
+    for p in t.carrier:
+        members.setdefault(class_of[p], set()).add(p)
+    reps = tuple(sorted(members, key=_skey))
+    opens = set()
+    for u in t.opens:
+        touched = {class_of[p] for p in u}
+        if all(members[r] <= u for r in touched):
+            opens.add(frozenset(touched))
+    return FiniteTopology(reps, frozenset(opens))
+
+
+def preimage_witnesses(f, dom: FiniteTopology, cod: FiniteTopology) -> tuple:
+    """Opens of ``cod`` whose preimage under the partial map ``f`` is not open
+    in the subspace topology that ``dom`` induces on the domain of ``f``."""
+    traces = {u & frozenset(f) for u in dom.opens}
+    bad = []
+    for v in sorted(cod.opens, key=_fmt_set):
+        if frozenset(p for p in f if f[p] in v) not in traces:
+            bad.append(_fmt_set(v))
+    return tuple(bad)
+
+
+def topological_category(cat, top_mor) -> tuple:
+    return preimage_witnesses(cat.comp, product_topology(top_mor, top_mor), top_mor)
+
+
+def continuous_action_ca2(scn) -> tuple:
+    square = product_topology(scn.top_mor, scn.top_space)
+    return preimage_witnesses(scn.action.table, square, scn.top_space)
+
+
+def quotient_of(scn, glob) -> FiniteTopology:
+    """The quotient topology on the classes, through explicit families only."""
+    square = product_topology(scn.top_mor, scn.top_space)
+    xbar = subspace_topology(square, glob.xbar.elements)
+    return quotient_topology(xbar, dict(glob.class_of))
+
+
+def embedding_open(scn, glob) -> tuple:
+    top_y = quotient_of(scn, glob)
+    bad = []
+    for u in sorted(scn.top_space.opens, key=_fmt_set):
+        if frozenset(glob.embed[x] for x in u) not in top_y.opens:
+            bad.append(_fmt_set(u))
+    return tuple(bad)

@@ -1,11 +1,15 @@
 """End-to-end CLI tests: golden outputs, exit codes, and determinism."""
 
+import importlib.util
 import json
+import random
 import sys
+import time
 
-from pcat import parse
+from pcat import PartialAction, Scenario, parse, serialize
+from pcat.oracle import group_category
 
-from conftest import FIXTURE_DIR, fixture_text, golden_text, run_cli
+from conftest import FIXTURE_DIR, REPO, fixture_text, golden_text, run_cli
 
 
 STEMS = ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift")
@@ -82,6 +86,66 @@ def test_topo_defaults_missing_topologies_to_discrete():
     assert code == 0
     assert "defaulting" in err
     assert "continuity CA1 pass" in out
+
+
+def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
+    # 200 of the 240 points of 60 copies of the regular Z4 action; the
+    # globalization of a restriction is the union of the orbits it touches.
+    rng = random.Random(2024)
+    kept = set(rng.sample([(c, h) for c in range(60) for h in range(4)], 200))
+    names = ["e", "m1", "m2", "m3"]
+    steps = {
+        (names[g], f"p{c}_{h}"): f"p{c}_{(g + h) % 4}"
+        for g in range(4)
+        for (c, h) in kept
+        if (c, (g + h) % 4) in kept
+    }
+    act = PartialAction.make([f"p{c}_{h}" for (c, h) in kept], steps)
+    path = tmp_path / "copies.pcat"
+    path.write_text(serialize(Scenario("z4", "copies", group_category("z4"), act, None, None, None)))
+    classes = 4 * len({c for c, _ in kept})
+
+    start = time.perf_counter()
+    code, out, err = run_cli(["topo", str(path)])
+    elapsed = time.perf_counter() - start
+    lines = out.splitlines()
+    assert code == 0 and "defaulting to discrete" in err
+    assert len(lines) == 11 and all(line.endswith(" pass") for line in lines[:-1]), lines
+    assert lines[-1] == f"quotient opens {2 ** classes}"
+    assert elapsed <= 5.0, elapsed
+
+
+def test_benchmark_tracer_wraps_the_topo_path():
+    # perfbench/spans.py wraps pcat's layer functions by name at install
+    # time; every name must still resolve and the traced run must not change
+    # a byte.  Defaulted topologies never reach validate_topology, and no
+    # quotient family is spelled out.
+    import pcat.cli
+    import pcat.topology
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    argvs = [["topo", fx("arrow_small_topo")], ["topo", fx("arrow_small")]]
+    plain = [run_cli(argv) for argv in argvs]
+    original = pcat.topology.validate_topology
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert pcat.cli.validate_topology is not original
+        traced = [tracer.span("topo", run_cli, argv) for argv in argvs]
+    finally:
+        tracer.uninstall()
+    assert pcat.cli.validate_topology is original and pcat.topology.validate_topology is original
+    assert traced == plain
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("topology.topologize_globalization") == 2
+    assert names.count("topology.check_embedding_open") == 2
+    assert names.count("topology.validate_topology") == 2
+    assert "topology.to_topology" not in names
+    sc = parse(fixture_text("arrow_small_topo"))
+    _, _, counts = tracer.summary()
+    assert counts["topology.carrier_opens"] == len(sc.top_mor.opens) + len(sc.top_space.opens)
 
 
 def test_cli_outputs_are_deterministic():

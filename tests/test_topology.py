@@ -13,19 +13,16 @@ from pcat import (
     check_graph_open,
     check_star_open,
     check_topological_category,
-    embedding_open_verdict,
-    min_nbhd,
     parse,
-    product_topology,
     quotient_space,
-    quotient_topology,
-    subspace_topology,
     topologize_globalization,
     validate_topology,
 )
-from pcat.oracle import group_category, random_topology
+from pcat.oracle import group_category, random_topology, random_valid_action, small_category
 
+import explicit_topology as explicit
 from conftest import fixture_text
+from explicit_topology import min_nbhd, product_topology, quotient_topology, subspace_topology
 
 fs = frozenset
 
@@ -80,6 +77,7 @@ def test_space_opens_matches_brute_force():
         assert validate_topology(t).ok
         sp = Space.from_topology(t)
         assert sp.opens() == t.opens == brute_opens(sp)
+        assert all(sp.nbhd[p] == min_nbhd(t, p) for p in t.carrier)
 
 
 def test_product_dual_route_and_brute_force():
@@ -190,8 +188,8 @@ def test_discrete_fixture_all_verdicts_pass():
     assert tg.ca.ok and tg.star.ok and tg.graph.ok
     assert tg.embed_continuous.ok and tg.action_continuous.ok and tg.embed_open.ok
     assert tg.k_continuous is None
-    assert len(tg.top_y.opens) == 16
-    assert validate_topology(tg.top_y).ok
+    assert tg.top_y.count_opens() == len(tg.top_y.opens()) == 16
+    assert validate_topology(tg.top_y.to_topology()).ok
 
 
 def test_discrete_fixture_mediating_map_is_continuous():
@@ -233,7 +231,7 @@ def test_indiscrete_carrier_conclusions_hold_without_hypotheses():
     assert tg.star.ok
     assert tg.embed_continuous.ok and tg.action_continuous.ok
     assert tg.embed_open.witnesses == (("1", "2", "3"),)
-    assert len(tg.top_y.opens) == 2
+    assert tg.top_y.count_opens() == len(tg.top_y.opens()) == 2
 
 
 def test_embedding_open_routes_agree():
@@ -254,8 +252,9 @@ def test_embedding_open_routes_agree():
         glob = build_globalization(sc.category, sc.action)
         top_y = quotient_space(scn, glob).to_topology()
         direct = check_embedding_open(scn, glob, top_y)
-        lazy = embedding_open_verdict(scn, glob)
+        lazy = check_embedding_open(scn, glob)
         assert direct.witnesses == lazy.witnesses, stem
+        assert lazy.witnesses == explicit.embedding_open(scn, glob), stem
 
 
 def test_quotient_space_carrier_is_class_representatives():
@@ -264,3 +263,64 @@ def test_quotient_space_carrier_is_class_representatives():
     glob = build_globalization(sc.category, sc.action)
     ys = quotient_space(scn, glob)
     assert set(ys.carrier) == {cls[0] for cls in glob.classes}
+
+
+def test_pointwise_verdicts_match_explicit_family_loops():
+    # Every verdict decided on minimal neighborhoods, witnesses included,
+    # equals a loop over the spelled-out families, whether the checks get
+    # those families or Spaces built from them.
+    rng = random.Random(4099)
+    failing = {"ca2": 0, "comp": 0, "embed": 0, "partial": 0}
+    cases = 0
+    while cases < 150:
+        cat = small_category(rng)
+        points = tuple(str(i) for i in range(1, rng.randint(1, 4) + 1))
+        act = random_valid_action(rng, cat, points, rng.uniform(0.2, 0.9))
+        if act is None or len(cat.morphisms) * len(points) > 12:
+            continue
+        cases += 1
+        top_mor = random_topology(rng, cat.morphisms)
+        top_space = random_topology(rng, act.carrier)
+        cod = random_topology(rng, "wxyz")
+        f = {x: rng.choice("wxyz") for x in act.carrier if rng.random() < 0.8}
+        family_scn = TopScenario(cat, act, top_mor, top_space)
+        glob = build_globalization(cat, act)
+        want = {
+            "ca2": explicit.continuous_action_ca2(family_scn),
+            "embed": explicit.embedding_open(family_scn, glob),
+            "partial": explicit.preimage_witnesses(f, top_space, cod),
+        }
+        if len(cat.morphisms) <= 3:
+            want["comp"] = explicit.topological_category(cat, top_mor)
+        for as_given in (lambda t: t, Space.from_topology):
+            tm, ts = as_given(top_mor), as_given(top_space)
+            scn = TopScenario(cat, act, tm, ts)
+            got = {
+                "ca2": check_continuous_action(scn).ca2_witnesses,
+                "embed": check_embedding_open(scn, glob).witnesses,
+                "partial": check_continuous_partial(f, ts, as_given(cod)).witnesses,
+                "comp": check_topological_category(cat, tm).witnesses,
+            }
+            for name, witnesses in want.items():
+                assert got[name] == witnesses, (name, cases)
+        for name, witnesses in want.items():
+            failing[name] += bool(witnesses)
+    assert all(failing.values()), failing
+
+
+def test_counted_opens_match_the_spelled_out_family():
+    rng = random.Random(31)
+    non_t0 = 0
+    for _ in range(60):
+        sp = Space.from_topology(random_topology(rng, "abcd"))
+        quo = sp.quotient({p: rng.choice("xyz") for p in "abcd"})
+        non_t0 += len(set(quo.nbhd.values())) < len(quo.carrier)
+        small = Space.from_topology(random_topology(rng, "ab"))
+        prod = Space.product(small, Space.from_topology(random_topology(rng, "uv")))
+        for space in (sp, quo, prod):
+            assert space.count_opens() == len(space.opens()) == len(brute_opens(space))
+    assert non_t0 > 0
+    chain = FiniteTopology.make("123", [set(), {"1"}, {"1", "2"}, {"1", "2", "3"}])
+    assert Space.from_topology(chain).count_opens() == 4
+    assert Space.from_topology(FiniteTopology.indiscrete("abcd")).count_opens() == 2
+    assert Space.discrete(range(300)).count_opens() == 2**300
