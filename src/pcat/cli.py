@@ -8,6 +8,7 @@ unparsable input.  Identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,6 +49,27 @@ def _read_scenario(path: str) -> Scenario:
     except ParseError as exc:
         print(f"{path}:{exc.line}:{exc.col}: {exc.code}: {exc.reason}", file=sys.stderr)
         raise _InputError from exc
+
+
+def _category_ok(scn: Scenario) -> bool:
+    """Validate the scenario's category; on failure the report goes to stderr."""
+    val = validate_category(scn.category)
+    if not val.ok:
+        sys.stderr.write(serialize(val, "text"))
+    return val.ok
+
+
+def _read_target(path: str, source: Scenario) -> Scenario | None:
+    """Read a mediation target over the source's category with gfun lines
+    naming j; None when it is not one, with the reason on stderr."""
+    tgt = _read_scenario(path)
+    if tgt.category != source.category:
+        print("target category differs from source category", file=sys.stderr)
+        return None
+    if tgt.gfun is None:
+        print("target file must supply gfun lines naming j", file=sys.stderr)
+        return None
+    return tgt
 
 
 def _emit(obj, as_json: bool) -> None:
@@ -108,9 +130,7 @@ def cmd_validate(args) -> int:
 
 def cmd_globalize(args) -> int:
     scn = _read_scenario(args.file)
-    val = validate_category(scn.category)
-    if not val.ok:
-        sys.stderr.write(serialize(val, "text"))
+    if not _category_ok(scn):
         return 1
     try:
         glob = build_globalization(scn.category, scn.action)
@@ -129,12 +149,10 @@ def cmd_globalize(args) -> int:
 
 def cmd_mediate(args) -> int:
     scn = _read_scenario(args.file)
-    tgt = _read_scenario(args.target)
-    if tgt.category != scn.category:
-        print("target category differs from source category", file=sys.stderr)
+    if not _category_ok(scn):
         return 1
-    if tgt.gfun is None:
-        print("target file must supply gfun lines naming j", file=sys.stderr)
+    tgt = _read_target(args.target, scn)
+    if tgt is None:
         return 1
     try:
         glob = build_globalization(scn.category, scn.action)
@@ -167,9 +185,7 @@ def cmd_mediate(args) -> int:
 
 def cmd_topo(args) -> int:
     scn = _read_scenario(args.file)
-    val = validate_category(scn.category)
-    if not val.ok:
-        sys.stderr.write(serialize(val, "text"))
+    if not _category_ok(scn):
         return 1
 
     top_mor = scn.top_mor
@@ -204,17 +220,18 @@ def cmd_topo(args) -> int:
 
     target = None
     if args.target:
-        tgt = _read_scenario(args.target)
-        if tgt.category != scn.category:
-            print("target category differs from source category", file=sys.stderr)
-            return 1
-        if tgt.gfun is None:
-            print("target file must supply gfun lines naming j", file=sys.stderr)
+        tgt = _read_target(args.target, scn)
+        if tgt is None:
             return 1
         t_top = tgt.top_space
         if t_top is None:
             print("note: no target carrier topology given; defaulting to discrete", file=sys.stderr)
             t_top = Space.discrete(tgt.action.carrier)
+        else:
+            violations = validate_topology(t_top).violations
+            if violations:
+                print(_check_line("target topology space", violations), file=sys.stderr)
+                return 1
         target = (tgt.action, t_top, tgt.gfun)
 
     try:
@@ -271,9 +288,13 @@ def cmd_oracle(args) -> int:
     if not 1 <= args.max_size <= 8:
         print("--max-size must be between 1 and 8", file=sys.stderr)
         return 2
-    suites = run_oracle(args.seed, args.max_size)
+    scn = None
     if args.file:
         scn = _read_scenario(args.file)
+        if not _category_ok(scn):
+            return 1
+    suites = run_oracle(args.seed, args.max_size)
+    if scn is not None:
         try:
             suites.append(suite_scenario(scn.category, scn.action, args.max_size))
         except AxiomError as exc:
@@ -300,6 +321,7 @@ def cmd_oracle(args) -> int:
     return 0 if all(s.ok for s in suites) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcat",

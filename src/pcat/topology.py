@@ -6,8 +6,9 @@ quotients have closed forms, and a map f is continuous iff f(U_x) lies in
 U_f(x) for every x, so every verdict is decided point by point.  Explicit
 open families (``FiniteTopology``) appear only where the input spells them
 out, in the DSL's topology blocks, and in the oracles.  Every check accepts
-either form.  A failing verdict lists its witness opens from the family it
-was given, which on a ``Space`` means spelling out up to 2^n open sets.
+either form and converts it once.  A failing verdict's witnesses are the
+points its U_x test rejects, sorted, so they never outnumber the verdict's
+domain and no open family is spelled out to find them.
 """
 
 from __future__ import annotations
@@ -241,16 +242,6 @@ class Verdict:
         return not self.witnesses
 
 
-def _fmt_set(u) -> tuple:
-    return tuple(sorted(u, key=_skey))
-
-
-def _failing_opens(top: Topology, fails) -> tuple:
-    """The opens of ``top``'s family on which ``fails`` holds, in canonical order."""
-    family = top.opens() if isinstance(top, Space) else top.opens
-    return tuple(_fmt_set(u) for u in sorted(family, key=_fmt_set) if fails(u))
-
-
 def _discontinuities(f: Mapping, near, cod: Space, points) -> tuple:
     """The points x, in the order given, where the partial map ``f`` takes
     some point of U_x within its domain out of U_f(x); ``near(x)`` lists U_x
@@ -258,28 +249,17 @@ def _discontinuities(f: Mapping, near, cod: Space, points) -> tuple:
     return tuple(x for x in points if not all(f[p] in cod.nbhd[f[x]] for p in near(x) if p in f))
 
 
-def _continuity_witnesses(f: Mapping, near, cod_top: Topology) -> tuple:
-    """Opens of the codomain whose preimage under the partial map ``f`` is not
-    relatively open in the domain of ``f``.  Decided point by point; only a
-    discontinuous map has its codomain family scanned for witnesses."""
-    if not _discontinuities(f, near, Space.of(cod_top), f):
-        return ()
-
-    def fails(v):
-        pre = {p for p in f if f[p] in v}
-        return not all(p in pre for x in pre for p in near(x) if p in f)
-
-    return _failing_opens(cod_top, fails)
-
-
 def check_continuous_partial(f: Mapping, dom_top: Topology, cod_top: Topology) -> Verdict:
     """Continuity of a partial map on its definedness domain.
 
-    The domain carries the subspace topology; a witness is an open of the
-    codomain whose preimage is not relatively open.
+    The domain carries the subspace topology; a witness is a point x of the
+    domain with some point of U_x in the domain mapped out of U_f(x).
     """
-    dom = Space.of(dom_top).nbhd
-    return Verdict("continuous_partial", _continuity_witnesses(f, dom.__getitem__, cod_top))
+    near = Space.of(dom_top).nbhd.__getitem__
+    return Verdict(
+        "continuous_partial",
+        _discontinuities(f, near, Space.of(cod_top), sorted(f, key=_skey)),
+    )
 
 
 def _product_near(a: Space, b: Space):
@@ -289,13 +269,13 @@ def _product_near(a: Space, b: Space):
 def check_topological_category(cat: Category, top_mor: Topology) -> Verdict:
     """Continuity of composition on its domain inside the morphism square.
 
-    Witnesses are opens of the morphism space whose composition preimage is
-    not relatively open among the composable pairs.
+    Witnesses are the composable pairs (g, h) with some composable pair in
+    U_g x U_h composing out of U_gh.
     """
     mor = Space.of(top_mor)
     return Verdict(
         "topological_category",
-        _continuity_witnesses(cat.comp, _product_near(mor, mor), top_mor),
+        _discontinuities(cat.comp, _product_near(mor, mor), mor, sorted(cat.comp)),
     )
 
 
@@ -311,8 +291,9 @@ class TopScenario:
 
 @dataclass(frozen=True)
 class ActionContinuityReport:
-    """CA1: identity definedness domains are open.  CA2: the action map is
-    continuous on its definedness domain inside the product."""
+    """CA1: identity definedness domains are open; witnesses are objects.
+    CA2: the action map is continuous on its definedness domain inside the
+    product; witnesses are defined cells (g, x)."""
 
     ca1_witnesses: tuple[str, ...]
     ca2_witnesses: tuple
@@ -324,21 +305,23 @@ class ActionContinuityReport:
 
 def check_continuous_action(scn: TopScenario) -> ActionContinuityReport:
     t = scn.action.table
+    space = Space.of(scn.top_space)
     ca1 = []
     for e in scn.category.objects:
         dom_e = frozenset(x for x in scn.action.carrier if (e, x) in t)
-        if not scn.top_space.is_open(dom_e):
+        if not space.is_open(dom_e):
             ca1.append(e)
-    near = _product_near(Space.of(scn.top_mor), Space.of(scn.top_space))
-    return ActionContinuityReport(tuple(ca1), _continuity_witnesses(t, near, scn.top_space))
+    near = _product_near(Space.of(scn.top_mor), space)
+    return ActionContinuityReport(tuple(ca1), _discontinuities(t, near, space, sorted(t)))
 
 
 def check_star_open(cat: Category, top_mor: Topology) -> Verdict:
     """Each object's outgoing-morphism set dom^-1(e) must be open."""
+    mor = Space.of(top_mor)
     bad = []
     for e in cat.objects:
         star = frozenset(g for g in cat.morphisms if cat.dom[g] == e)
-        if not top_mor.is_open(star):
+        if not mor.is_open(star):
             bad.append(e)
     return Verdict("star_open", tuple(bad))
 
@@ -362,16 +345,16 @@ def check_embedding_open(
 ) -> Verdict:
     """Openness of the embedding: images of carrier opens must be open in the
     quotient (``yspace``, built here when not given).  Every open is a union
-    of minimal neighborhoods, so it suffices that each U_x has an open image."""
-    ys = quotient_space(scn, glob) if yspace is None else yspace
-
-    def fails(u):
-        return not ys.is_open({glob.embed[x] for x in u})
-
+    of minimal neighborhoods, so it suffices that each U_x has an open image;
+    the witnesses are the carrier points x whose U_x does not."""
+    ys = quotient_space(scn, glob) if yspace is None else Space.of(yspace)
     pts = Space.of(scn.top_space)
-    if any(fails(pts.nbhd[x]) for x in pts.carrier):
-        return Verdict("embedding_open", _failing_opens(scn.top_space, fails))
-    return Verdict("embedding_open", ())
+    bad = tuple(
+        x
+        for x in sorted(pts.carrier, key=_skey)
+        if not ys.is_open({glob.embed[p] for p in pts.nbhd[x]})
+    )
+    return Verdict("embedding_open", bad)
 
 
 @dataclass(frozen=True)
@@ -401,18 +384,20 @@ def topologize_globalization(
     topologized global action and an equivariant map, the mediating map's
     continuity is reported as well.
     """
+    mor, space = Space.of(scn.top_mor), Space.of(scn.top_space)
+    scn = TopScenario(scn.category, scn.action, mor, space)
     yspace = quotient_space(scn, glob)
 
     ca = check_continuous_action(scn)
-    star = check_star_open(scn.category, scn.top_mor)
+    star = check_star_open(scn.category, mor)
     graph = check_graph_open(scn)
 
-    near = Space.of(scn.top_space).nbhd.__getitem__
+    near = space.nbhd.__getitem__
     embed_cont = Verdict(
         "embedding_continuous",
         _discontinuities(glob.embed, near, yspace, scn.action.carrier),
     )
-    near = _product_near(Space.of(scn.top_mor), yspace)
+    near = _product_near(mor, yspace)
     act_cont = Verdict(
         "action_continuous",
         _discontinuities(glob.action, near, yspace, sorted(glob.action)),

@@ -3,11 +3,17 @@
 The library holds finite topologies as minimal open neighborhoods and decides
 every verdict point by point.  These functions do the same work the long way,
 over spelled-out open families, so the tests can compare the two on small
-carriers.
+carriers.  The ``*_points`` routes give the library's witnesses, the points
+where a map fails to be continuous or open; the others list the witness opens
+and serve as verdict oracles.
 """
 
 from pcat import FiniteTopology, Space
-from pcat.topology import _fmt_set, _skey
+from pcat.topology import _skey
+
+
+def _fmt_set(u) -> tuple:
+    return tuple(sorted(u, key=_skey))
 
 
 def min_nbhd(t: FiniteTopology, p) -> frozenset:
@@ -63,13 +69,37 @@ def preimage_witnesses(f, dom: FiniteTopology, cod: FiniteTopology) -> tuple:
     return tuple(bad)
 
 
+def point_witnesses(f, dom: FiniteTopology, cod: FiniteTopology) -> tuple:
+    """Points x of the domain of the partial map ``f`` at which it is not
+    continuous: some open V of ``cod`` around f(x) has no open U of ``dom``
+    around x with U meeting the domain of ``f`` only inside the preimage of V."""
+    bad = []
+    for x in f:
+        for v in cod.opens:
+            if f[x] in v and not any(
+                x in u and all(f[p] in v for p in u if p in f) for u in dom.opens
+            ):
+                bad.append(x)
+                break
+    return _fmt_set(bad)
+
+
 def topological_category(cat, top_mor) -> tuple:
     return preimage_witnesses(cat.comp, product_topology(top_mor, top_mor), top_mor)
+
+
+def topological_category_points(cat, top_mor) -> tuple:
+    return point_witnesses(cat.comp, product_topology(top_mor, top_mor), top_mor)
 
 
 def continuous_action_ca2(scn) -> tuple:
     square = product_topology(scn.top_mor, scn.top_space)
     return preimage_witnesses(scn.action.table, square, scn.top_space)
+
+
+def continuous_action_ca2_points(scn) -> tuple:
+    square = product_topology(scn.top_mor, scn.top_space)
+    return point_witnesses(scn.action.table, square, scn.top_space)
 
 
 def quotient_of(scn, glob) -> FiniteTopology:
@@ -86,3 +116,13 @@ def embedding_open(scn, glob) -> tuple:
         if frozenset(glob.embed[x] for x in u) not in top_y.opens:
             bad.append(_fmt_set(u))
     return tuple(bad)
+
+
+def embedding_open_points(scn, glob) -> tuple:
+    """Carrier points whose minimal neighborhood has a non-open image."""
+    top_y = quotient_of(scn, glob)
+    bad = []
+    for x in scn.top_space.carrier:
+        if frozenset(glob.embed[p] for p in min_nbhd(scn.top_space, x)) not in top_y.opens:
+            bad.append(x)
+    return _fmt_set(bad)

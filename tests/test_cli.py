@@ -6,7 +6,7 @@ import random
 import sys
 import time
 
-from pcat import PartialAction, Scenario, parse, serialize
+from pcat import FiniteTopology, PartialAction, Scenario, parse, serialize
 from pcat.oracle import group_category
 
 from conftest import FIXTURE_DIR, REPO, fixture_text, golden_text, run_cli
@@ -100,9 +100,10 @@ def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
         for (c, h) in kept
         if (c, (g + h) % 4) in kept
     }
+    z4 = group_category("z4")
     act = PartialAction.make([f"p{c}_{h}" for (c, h) in kept], steps)
     path = tmp_path / "copies.pcat"
-    path.write_text(serialize(Scenario("z4", "copies", group_category("z4"), act, None, None, None)))
+    path.write_text(serialize(Scenario("z4", "copies", z4, act, None, None, None)))
     classes = 4 * len({c for c, _ in kept})
 
     start = time.perf_counter()
@@ -112,6 +113,36 @@ def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
     assert code == 0 and "defaulting to discrete" in err
     assert len(lines) == 11 and all(line.endswith(" pass") for line in lines[:-1]), lines
     assert lines[-1] == f"quotient opens {2 ** classes}"
+    assert elapsed <= 5.0, elapsed
+
+    # An indiscrete morphism topology over the discrete default carrier fails
+    # CA2, graph-openness and the embedding's openness.  Each verdict lists
+    # the points of its domain that fail, never opens of the 2^200-set
+    # carrier family.
+    indiscrete = FiniteTopology.indiscrete(z4.morphisms)
+    path.write_text(serialize(Scenario("z4", "copies", z4, act, indiscrete, None, None)))
+    start = time.perf_counter()
+    code, out, err = run_cli(["topo", "--json", str(path)])
+    elapsed = time.perf_counter() - start
+    checks = json.loads(out)["checks"]
+    assert code == 1
+    failing = {name for name, check in checks.items() if not check["pass"]}
+    assert failing == {"continuity_CA2", "graph-open", "embedding_open"}, failing
+    domain = {
+        "topology_mor": 0,
+        "topology_space": 0,
+        "continuity_comp": len(z4.comp),
+        "continuity_CA1": len(z4.objects),
+        "continuity_CA2": len(act.table),
+        "star-open": len(z4.objects),
+        "graph-open": len(act.table),
+        "embedding_continuous": len(act.carrier),
+        "action_continuous": len(z4.morphisms) * classes,
+        "embedding_open": len(act.carrier),
+    }
+    assert checks.keys() == domain.keys()
+    for name, check in checks.items():
+        assert len(check["witnesses"]) <= domain[name], name
     assert elapsed <= 5.0, elapsed
 
 
@@ -158,6 +189,16 @@ def test_cli_outputs_are_deterministic():
         first = run_cli(argv)
         second = run_cli(argv)
         assert first == second, argv
+
+
+def test_options_do_not_carry_between_calls_in_one_process():
+    # The parser is built once per process; each call must still start from
+    # the defaults, whatever the previous call was given.
+    text = run_cli(["topo", fx("arrow_small_topo")])
+    run_cli(["topo", "--json", "--target", fx("arrow_small_target"), fx("arrow_small_topo")])
+    run_cli(["oracle", "--max-size", "1", "--seed", "3"])
+    assert run_cli(["topo", fx("arrow_small_topo")]) == text
+    assert text[1] == golden_text("topo_arrow_small_topo.txt")
 
 
 def test_missing_file_exits_two():
@@ -207,6 +248,51 @@ def test_validate_fails_on_axiom_violating_action(tmp_path):
     code, out, err = run_cli(["validate", str(bad)])
     assert code == 1
     assert "axioms C1 fail (e,1)" in out
+
+
+NON_ASSOCIATIVE = """category c
+  object e
+  mor a : e -> e
+  mor b : e -> e
+  comp a . a = b
+  comp a . b = a
+  comp b . a = b
+  comp b . b = b
+end
+action one
+  point 1
+  act e 1 = 1
+end
+"""
+
+
+def test_mediate_and_oracle_reject_an_invalid_category(tmp_path):
+    # (aa)a = ba = b but a(aa) = ab = a: without the category check the
+    # construction's self-audit trips over the non-associative composition.
+    src = tmp_path / "nonassoc.pcat"
+    src.write_text(NON_ASSOCIATIVE)
+    target = tmp_path / "target.pcat"
+    target.write_text(
+        NON_ASSOCIATIVE.removesuffix("end\n") + "  act a 1 = 1\n  act b 1 = 1\nend\ngfun 1 = 1\n"
+    )
+    for argv in (
+        ["mediate", str(src), "--target", str(target)],
+        ["oracle", str(src), "--max-size", "2"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("category invalid\nviolation associativity (a,a,a)"), argv
+
+
+def test_topo_rejects_an_invalid_target_topology(tmp_path):
+    # {e__1} and {f__4} are open but their union is not.
+    text = fixture_text("arrow_small_target")
+    block = "topology space\n  open e__1\n  open f__4\n  open e__1 e__2 e__3 f__4 g__1\nend\n"
+    target = tmp_path / "target.pcat"
+    target.write_text(text.replace("gfun 1", block + "gfun 1", 1))
+    code, out, err = run_cli(["topo", fx("arrow_small_topo"), "--target", str(target)])
+    assert code == 1 and out == ""
+    assert err == "target topology space fail (union,('e__1',),('f__4',))\n"
 
 
 def test_mediate_requires_gfun(tmp_path):

@@ -24,12 +24,10 @@ from pcat import (
     is_groupoid,
     mediating,
     mediating_candidates,
-    naive_closure,
     parse,
-    sim_pairs,
 )
 from pcat.fixtures import FIXTURES
-from pcat.globalization import _canonical_key, witness_traces
+from pcat.globalization import _canonical_key, naive_closure, sim_pairs, witness_traces
 from pcat.oracle import _relabel_as_extension, random_category, random_points, random_valid_action
 
 from conftest import REPO, fixture_text

@@ -138,26 +138,29 @@ def test_continuous_partial_identity_map():
     ident = {"1": "1", "2": "2"}
     assert check_continuous_partial(ident, dis, ind).ok
     v = check_continuous_partial(ident, ind, dis)
-    assert v.witnesses == (("1",), ("2",))
+    assert v.witnesses == ("1", "2")
 
 
 def test_continuous_partial_uses_subspace_of_domain():
     # On the subspace {2, 3} of the chain, the point 2 becomes relatively
-    # open, so opens selecting 2 stop being witnesses; the point 3 still
-    # drags 2 along in its relative neighborhood, so opens selecting 3
-    # without 2 remain witnesses.
+    # open, so 2 stops being a witness; the point 3 still drags 2 along in
+    # its relative neighborhood, so 3 remains one.
     chain = FiniteTopology.make("123", [set(), {"1"}, {"1", "2"}, {"1", "2", "3"}])
     dis = FiniteTopology.discrete("123")
     full = check_continuous_partial({"1": "1", "2": "2", "3": "3"}, chain, dis)
-    assert ("2",) in full.witnesses
+    assert full.witnesses == ("2", "3")
     part = check_continuous_partial({"2": "2", "3": "3"}, chain, dis)
-    assert part.witnesses == (("1", "3"), ("3",))
+    assert part.witnesses == ("3",)
 
 
 def test_topological_category_verdicts():
     z3 = group_category("z3")
     bad = FiniteTopology.make(z3.morphisms, [set(), {"m1"}, set(z3.morphisms)])
-    assert check_topological_category(z3, bad).witnesses == (("m1",),)
+    # U_m1 = {m1} and every other neighborhood is the whole space, so the
+    # witnesses are exactly the pairs composing to m1: each has a pair
+    # composing to e or m2 in its neighborhood.
+    witnesses = check_topological_category(z3, bad).witnesses
+    assert witnesses == (("e", "m1"), ("m1", "e"), ("m2", "m2"))
     assert check_topological_category(z3, FiniteTopology.discrete(z3.morphisms)).ok
     assert check_topological_category(z3, FiniteTopology.indiscrete(z3.morphisms)).ok
 
@@ -230,7 +233,7 @@ def test_indiscrete_carrier_conclusions_hold_without_hypotheses():
     )
     assert tg.star.ok
     assert tg.embed_continuous.ok and tg.action_continuous.ok
-    assert tg.embed_open.witnesses == (("1", "2", "3"),)
+    assert tg.embed_open.witnesses == ("1", "2", "3")
     assert tg.top_y.count_opens() == len(tg.top_y.opens()) == 2
 
 
@@ -254,7 +257,8 @@ def test_embedding_open_routes_agree():
         direct = check_embedding_open(scn, glob, top_y)
         lazy = check_embedding_open(scn, glob)
         assert direct.witnesses == lazy.witnesses, stem
-        assert lazy.witnesses == explicit.embedding_open(scn, glob), stem
+        assert lazy.witnesses == explicit.embedding_open_points(scn, glob), stem
+        assert bool(lazy.witnesses) == bool(explicit.embedding_open(scn, glob)), stem
 
 
 def test_quotient_space_carrier_is_class_representatives():
@@ -266,9 +270,10 @@ def test_quotient_space_carrier_is_class_representatives():
 
 
 def test_pointwise_verdicts_match_explicit_family_loops():
-    # Every verdict decided on minimal neighborhoods, witnesses included,
+    # Every verdict decided on minimal neighborhoods, witness points included,
     # equals a loop over the spelled-out families, whether the checks get
-    # those families or Spaces built from them.
+    # those families or Spaces built from them; and it fails exactly when
+    # some open of the family is a witness.
     rng = random.Random(4099)
     failing = {"ca2": 0, "comp": 0, "embed": 0, "partial": 0}
     cases = 0
@@ -286,12 +291,20 @@ def test_pointwise_verdicts_match_explicit_family_loops():
         family_scn = TopScenario(cat, act, top_mor, top_space)
         glob = build_globalization(cat, act)
         want = {
+            "ca2": explicit.continuous_action_ca2_points(family_scn),
+            "embed": explicit.embedding_open_points(family_scn, glob),
+            "partial": explicit.point_witnesses(f, top_space, cod),
+        }
+        opens = {
             "ca2": explicit.continuous_action_ca2(family_scn),
             "embed": explicit.embedding_open(family_scn, glob),
             "partial": explicit.preimage_witnesses(f, top_space, cod),
         }
         if len(cat.morphisms) <= 3:
-            want["comp"] = explicit.topological_category(cat, top_mor)
+            want["comp"] = explicit.topological_category_points(cat, top_mor)
+            opens["comp"] = explicit.topological_category(cat, top_mor)
+        for name, witnesses in want.items():
+            assert bool(witnesses) == bool(opens[name]), (name, cases)
         for as_given in (lambda t: t, Space.from_topology):
             tm, ts = as_given(top_mor), as_given(top_space)
             scn = TopScenario(cat, act, tm, ts)
