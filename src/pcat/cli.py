@@ -14,7 +14,7 @@ import sys
 
 from .category import is_groupoid, validate_category
 from .action import check_category_axioms, check_groupoid_axioms
-from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize
+from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize, witness_text
 from .globalization import (
     AxiomError,
     MediationError,
@@ -87,20 +87,33 @@ def _jnorm(value):
     return str(value)
 
 
-def _wit_text(witnesses, limit: int = 8) -> str:
-    parts = []
-    for w in witnesses[:limit]:
-        if isinstance(w, tuple):
-            parts.append("(" + ",".join(str(p) for p in w) + ")")
-        else:
-            parts.append(str(w))
-    return " ".join(parts)
-
-
 def _check_line(name: str, witnesses) -> str:
     if witnesses:
-        return f"{name} fail {_wit_text(tuple(witnesses))}"
+        return f"{name} fail {witness_text(tuple(witnesses))}"
     return f"{name} pass"
+
+
+def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> None:
+    """Print the named ``topo`` checks; ``opens`` is None when no quotient was built."""
+    if as_json:
+        payload = {
+            "checks": {
+                name.replace(" ", "_"): {
+                    "pass": not wit,
+                    "witnesses": _jnorm(tuple(wit)),
+                }
+                for name, wit in checks
+            },
+            "ok": ok,
+        }
+        if opens is not None:
+            payload["quotient_opens"] = opens
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        for name, wit in checks:
+            print(_check_line(name, wit))
+        if opens is not None:
+            print(f"quotient opens {opens}")
 
 
 def cmd_validate(args) -> int:
@@ -205,8 +218,7 @@ def cmd_topo(args) -> int:
         checks.append((label, violations))
         ok_required = ok_required and not violations
     if not ok_required:
-        for label, wit in checks:
-            print(_check_line(label, wit))
+        _topo_report(checks, False, args.json)
         return 1
 
     try:
@@ -263,24 +275,7 @@ def cmd_topo(args) -> int:
     if tg.k_continuous is not None:
         required.append(tg.k_continuous.ok)
 
-    opens = tg.top_y.count_opens()
-    if args.json:
-        payload = {
-            "checks": {
-                name.replace(" ", "_"): {
-                    "pass": not wit,
-                    "witnesses": _jnorm(tuple(wit)),
-                }
-                for name, wit in checks
-            },
-            "quotient_opens": opens,
-            "ok": all(required),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        for name, wit in checks:
-            print(_check_line(name, wit))
-        print(f"quotient opens {opens}")
+    _topo_report(checks, all(required), args.json, tg.top_y.count_opens())
     return 0 if all(required) else 1
 
 

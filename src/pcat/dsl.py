@@ -431,12 +431,23 @@ def _globalization_text(glob: Globalization) -> str:
     return "\n".join(out) + "\n"
 
 
+def _witness(w) -> str:
+    if isinstance(w, tuple):
+        return "(" + ",".join(_witness(p) for p in w) + ")"
+    return _pt(w)
+
+
+def witness_text(witnesses) -> str:
+    """The first eight witnesses as text: a tuple, nested ones too, is
+    written as its parts in parentheses, comma-joined, with bare identifiers."""
+    return " ".join(_witness(w) for w in witnesses[:8])
+
+
 def _axiom_report_text(rep: AxiomReport) -> str:
     out = []
     for a, wit in rep.witnesses.items():
         if wit:
-            shown = " ".join("(" + ",".join(_pt(p) for p in w) + ")" for w in wit[:8])
-            out.append(f"axioms {a} fail {shown}")
+            out.append(f"axioms {a} fail {witness_text(wit)}")
         else:
             out.append(f"axioms {a} pass")
     return "\n".join(out) + "\n"

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
-from .category import Category, composable_pairs, is_groupoid
+from .category import Category
 from .action import AxiomReport, PartialAction, check_category_axioms, composites_after
 
 Pt = Any
@@ -447,57 +447,69 @@ def _fresh_points(existing, count: int) -> list[str]:
     return out
 
 
-def _maps_for(cat, pairs, order, idx, assign, seeds, sets, groupoid):
-    """Backtracking enumeration of per-morphism maps satisfying the functor laws.
+def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Iterator[dict]:
+    """Every global action on the object sets ``sets`` that extends ``act``.
 
-    ``assign`` holds only fully-fixed morphisms (identities at the start);
-    ``seeds`` holds the table entries each remaining morphism must extend.
-    Values forced by composites with fixed morphisms are propagated before
-    free slots are enumerated; a full functor-law check runs at the leaves.
+    One backtracking search over the cells (m, z) of the non-identity
+    morphisms, in sorted morphism order, z ascending, values ascending, so
+    solutions come in lexicographic order of their value vectors; that order
+    fixes which receiver of each renaming class is kept.  A cell of
+    ``act`` takes only its given value.  The functor law is the only rule:
+    each instance F(g h)(x) = F(g)(F(h)(x)) is checked once all three of its
+    cells are filled, and a cell F(m)(z) = v is cut early when F(g m)(z) is
+    known, F(g)(v) is not, and another x with F(m)(x) = v disagrees on
+    F(g m)(x).  Yields each solution as a table keyed by (morphism, point).
     """
-    if idx == len(order):
-        for (a, b) in pairs:
-            c = cat.comp[(a, b)]
-            for z in sets[cat.dom[b]]:
-                if assign[c][z] != assign[a][assign[b][z]]:
-                    return
-        yield {m: dict(assign[m]) for m in assign}
-        return
-    m = order[idx]
-    src, dst = sets[cat.dom[m]], sets[cat.cod[m]]
-    forced: dict = dict(seeds.get(m, {}))
-    ok = True
-    for (a, b), c in cat.comp.items():
-        if a == m and m not in (b, c) and b in assign and c in assign:
-            for z in sets[cat.dom[b]]:
-                y, v = assign[b][z], assign[c][z]
-                if forced.get(y, v) != v:
-                    ok = False
-                forced[y] = v
-        if b == m and m not in (a, c) and a in assign and c in assign:
-            amap = assign[a]
-            for z in src:
-                want = assign[c][z]
-                pre = [u for u in sets[cat.dom[a]] if amap[u] == want]
-                if not pre:
-                    ok = False
-                elif len(pre) == 1:
-                    if forced.get(z, pre[0]) != pre[0]:
-                        ok = False
-                    forced[z] = pre[0]
-    if not ok or not set(forced.values()) <= set(dst):
-        return
-    if groupoid and len(set(forced.values())) != len(forced):
-        return
-    free = sorted(z for z in src if z not in forced)
-    for combo in itertools.product(sorted(dst), repeat=len(free)):
-        full = dict(forced)
-        full.update(zip(free, combo))
-        if groupoid and len(set(full.values())) != len(full):
+    non_id = sorted(m for m in cat.morphisms if m not in cat.objects)
+    F: dict[str, dict] = {e: {z: z for z in sets[e]} for e in cat.objects}
+    F.update((m, {}) for m in non_id)
+    as_h: dict[str, list] = {}
+    as_g: dict[str, list] = {}
+    as_k: dict[str, list] = {}
+    for (g, h), k in cat.comp.items():
+        if g in cat.objects or h in cat.objects:
             continue
-        assign[m] = full
-        yield from _maps_for(cat, pairs, order, idx + 1, assign, seeds, sets, groupoid)
-        del assign[m]
+        as_h.setdefault(h, []).append((g, k))
+        as_g.setdefault(g, []).append((h, k))
+        as_k.setdefault(k, []).append((g, h))
+    cells = [
+        (m, z, (act.table[(m, z)],) if (m, z) in act.table else sorted(sets[cat.cod[m]]))
+        for m in non_id
+        for z in sorted(sets[cat.dom[m]])
+    ]
+
+    def lawful(m: str, z: Pt, v: Pt) -> bool:
+        for g, k in as_h.get(m, ()):
+            w = F[k].get(z)
+            if w is None:
+                continue
+            u = F[g].get(v)
+            if u is not None:
+                if u != w:
+                    return False
+            elif any(y == v and F[k].get(x, w) != w for x, y in F[m].items()):
+                return False
+        for h, k in as_g.get(m, ()):
+            if any(y == z and F[k].get(x, v) != v for x, y in F[h].items()):
+                return False
+        for g, h in as_k.get(m, ()):
+            y = F[h].get(z)
+            if y is not None and F[g].get(y, v) != v:
+                return False
+        return True
+
+    def fill(i: int) -> Iterator[dict]:
+        if i == len(cells):
+            yield {(g, z): v for g in cat.morphisms for z, v in F[g].items()}
+            return
+        m, z, values = cells[i]
+        for v in values:
+            F[m][z] = v
+            if lawful(m, z, v):
+                yield from fill(i + 1)
+        F[m].pop(z, None)
+
+    return fill(0)
 
 
 def enumerate_globalizations(
@@ -509,8 +521,6 @@ def enumerate_globalizations(
     relabeling, j can always be taken to be the inclusion of the original
     carrier, so targets live on the original points plus fresh ones, and
     duplicates differing only by a renaming of the fresh points are removed.
-    For groupoid categories, per-morphism maps are pruned to bijections since
-    global groupoid actions act bijectively.
     """
     if not 1 <= max_size <= 8:
         raise ValueError("max_size must be between 1 and 8")
@@ -519,7 +529,6 @@ def enumerate_globalizations(
     trip_dom: dict[str, set] = {}
     for (g, x) in act.table:
         trip_dom.setdefault(g, set()).add(x)
-    groupoid = is_groupoid(cat) is not None
 
     seen: dict[tuple, tuple[PartialAction, dict]] = {}
     for n in range(len(X), max_size + 1):
@@ -534,29 +543,17 @@ def enumerate_globalizations(
                 for add in itertools.combinations(extras, r):
                     opts.append(base | set(add))
             obj_opts.append(opts)
-        pairs = sorted(composable_pairs(cat))
-        non_id = sorted(m for m in cat.morphisms if m not in cat.objects)
         for choice in itertools.product(*obj_opts):
             sets = dict(zip(cat.objects, choice))
             if set().union(*sets.values()) != set(Z):
                 continue
-            seeds: dict[str, dict] = {}
-            seeds_ok = True
-            for m in non_id:
-                sm = {x: act.table[(m, x)] for x in trip_dom.get(m, set())}
-                if not set(sm) <= sets[cat.dom[m]] or not set(sm.values()) <= sets[cat.cod[m]]:
-                    seeds_ok = False
-                    break
-                seeds[m] = sm
-            if not seeds_ok:
+            if any(
+                x not in sets[cat.dom[g]] or y not in sets[cat.cod[g]]
+                for (g, x), y in act.table.items()
+            ):
                 continue
-            assign: dict[str, dict] = {e: {z: z for z in sets[e]} for e in cat.objects}
-            for maps in _maps_for(cat, pairs, non_id, 0, assign, seeds, sets, groupoid):
-                table: dict[tuple[str, Pt], Pt] = {}
-                for g in cat.morphisms:
-                    for z, v in maps[g].items():
-                        table[(g, z)] = v
-                target = PartialAction(tuple(sorted(Z, key=str)), table)
+            for table in _functors(cat, sets, act):
+                target = PartialAction(tuple(Z), table)
                 key = _canonical_key(target, X, aux)
                 if key not in seen:
                     seen[key] = (target, {x: x for x in X})

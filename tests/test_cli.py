@@ -292,7 +292,34 @@ def test_topo_rejects_an_invalid_target_topology(tmp_path):
     target.write_text(text.replace("gfun 1", block + "gfun 1", 1))
     code, out, err = run_cli(["topo", fx("arrow_small_topo"), "--target", str(target)])
     assert code == 1 and out == ""
-    assert err == "target topology space fail (union,('e__1',),('f__4',))\n"
+    assert err == "target topology space fail (union,(e__1),(f__4))\n"
+
+
+def _invalid_space_source(tmp_path):
+    # {1} and {3} are open but their union is not.
+    text = fixture_text("arrow_small_topo")
+    block = "topology space\n  open 1\n  open 3\n  open 1 2 3\nend\n"
+    src = tmp_path / "bad_space.pcat"
+    src.write_text(text[: text.index("topology space")] + block)
+    return str(src)
+
+
+def test_topo_writes_nested_witnesses_as_bare_identifiers(tmp_path):
+    code, out, err = run_cli(["topo", _invalid_space_source(tmp_path)])
+    assert code == 1 and err == ""
+    assert out == "topology mor pass\ntopology space fail (union,(1),(3))\n"
+
+
+def test_topo_json_reports_an_invalid_source_topology(tmp_path):
+    code, out, err = run_cli(["topo", "--json", _invalid_space_source(tmp_path)])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "checks": {
+            "topology_mor": {"pass": True, "witnesses": []},
+            "topology_space": {"pass": False, "witnesses": [["union", ["1"], ["3"]]]},
+        },
+        "ok": False,
+    }
 
 
 def test_mediate_requires_gfun(tmp_path):

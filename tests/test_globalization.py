@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -26,11 +27,18 @@ from pcat import (
     mediating_candidates,
     parse,
 )
-from pcat.fixtures import FIXTURES
+from pcat.fixtures import FIXTURES, arrow_category
 from pcat.globalization import _canonical_key, naive_closure, sim_pairs, witness_traces
-from pcat.oracle import _relabel_as_extension, random_category, random_points, random_valid_action
+from pcat.oracle import (
+    _relabel_as_extension,
+    group_category,
+    random_category,
+    random_points,
+    random_valid_action,
+)
 
-from conftest import REPO, fixture_text
+import reference_enumerator as reference
+from conftest import FIXTURE_DIR, REPO, fixture_text
 
 STEMS = ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift")
 
@@ -322,6 +330,48 @@ def test_enumerate_contains_the_quotient():
         extra = [z for z in target.carrier if z not in act.carrier]
         keys.add(_canonical_key(target, list(act.carrier), extra))
     assert want in keys
+
+
+def test_enumerator_matches_the_reference_enumerator():
+    cases = []
+    for path in sorted(FIXTURE_DIR.glob("*.pcat")):
+        sc = parse(path.read_text(encoding="utf-8"))
+        cases += [(sc.category, sc.action, b) for b in range(len(sc.action.carrier), 6)]
+    # No point lies over f, so every receiver with an empty fibre over f
+    # gives g no cell values to try.
+    empty_f = PartialAction(("1", "2"), {("e", "1"): "1", ("e", "2"): "2"})
+    cases += [(arrow_category(), empty_f, b) for b in (2, 3, 4)]
+    rng = random.Random(1602)
+    drawn = 0
+    while drawn < 200:
+        cat = random_category(rng)
+        act = random_valid_action(rng, cat, random_points(rng, 3), rng.uniform(0.2, 0.7))
+        if act is None:
+            continue
+        # The reference needs minutes on the three-object chain at bound 4.
+        top = 4 if len(cat.objects) < 3 else 3
+        cases.append((cat, act, rng.randint(len(act.carrier), max(top, len(act.carrier)))))
+        drawn += 1
+    for cat, act, bound in cases:
+        assert enumerate_globalizations(cat, act, bound) == reference.enumerate_globalizations(
+            cat, act, bound
+        ), (cat, act, bound)
+
+
+def test_enumerate_z4_receivers_at_bound_8_within_a_second():
+    # Forced-value propagation alone took seconds here: m1 and m3 swap 2
+    # and 3 but leave the values of fresh points free until the leaves.
+    cat = group_category("z4")
+    table = {("e", x): x for x in "1234"}
+    for m in ("m1", "m3"):
+        table.update({(m, "2"): "3", (m, "3"): "2", (m, "4"): "4"})
+    table.update({("m2", x): x for x in "234"})
+    act = PartialAction(("1", "2", "3", "4"), table)
+    t0 = time.perf_counter()
+    found = enumerate_globalizations(cat, act, 8)
+    elapsed = time.perf_counter() - t0
+    assert len(found) == 18
+    assert elapsed <= 1.0, elapsed
 
 
 def test_mediating_unique_across_small_receivers():
