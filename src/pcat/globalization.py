@@ -504,6 +504,8 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
             return
         m, z, values = cells[i]
         for v in values:
+            # Filled before the check: one cell can fill two roles of an
+            # instance, as F(m)(z) does for m m when v == z.
             F[m][z] = v
             if lawful(m, z, v):
                 yield from fill(i + 1)
