@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .category import is_groupoid, validate_category
 from .action import check_category_axioms, check_groupoid_axioms
 from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize, witness_text
+from .dsl import _axiom_report_json, _validation_json, to_json
 from .globalization import (
     AxiomError,
     MediationError,
@@ -39,10 +39,14 @@ class _InputError(Exception):
 
 def _read_scenario(path: str) -> Scenario:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+        raise _InputError from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        print(f"{path}: not valid UTF-8 at line {line} ({exc.reason})", file=sys.stderr)
         raise _InputError from exc
     try:
         return parse(text)
@@ -108,7 +112,7 @@ def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> N
         }
         if opens is not None:
             payload["quotient_opens"] = opens
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(to_json(payload))
     else:
         for name, wit in checks:
             print(_check_line(name, wit))
@@ -126,13 +130,10 @@ def cmd_validate(args) -> int:
     witness = is_groupoid(scn.category)
     gr = check_groupoid_axioms(scn.category, witness, scn.action) if witness else None
     if args.json:
-        payload = {
-            "category": json.loads(serialize(val, "json")),
-            "action": json.loads(serialize(axioms, "json"))["axioms"],
-        }
+        payload = {"category": _validation_json(val), "action": _axiom_report_json(axioms)["axioms"]}
         if gr is not None:
-            payload["groupoid_action"] = json.loads(serialize(gr, "json"))["axioms"]
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            payload["groupoid_action"] = _axiom_report_json(gr)["axioms"]
+        sys.stdout.write(to_json(payload))
     else:
         sys.stdout.write(serialize(val, "text"))
         sys.stdout.write(serialize(axioms, "text"))
@@ -187,7 +188,7 @@ def cmd_mediate(args) -> int:
             "compose_ok": True,
             "injective": injective,
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(to_json(payload))
     else:
         lines = [f"k [{rep[0]},{rep[1]}] = {k[rep]}" for rep in sorted(k)]
         lines.append("compose ok")
@@ -308,7 +309,7 @@ def cmd_oracle(args) -> int:
             ],
             "ok": all(s.ok for s in suites),
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(to_json(payload))
     else:
         for s in suites:
             status = "ok" if s.ok else f"fail {s.failures[0]}"

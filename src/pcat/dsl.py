@@ -12,12 +12,12 @@ and a 1-based source position.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Mapping, Optional
 
-from .category import Category, ValidationReport, composable_pairs
+from .category import Category, ValidationReport
 from .action import AxiomReport, PartialAction
 from .globalization import Globalization
 from .topology import FiniteTopology
@@ -71,13 +71,19 @@ class _Parser:
     def err(self, code, msg, line, col):
         raise ParseError(code, msg, line, col)
 
-    def next_line(self):
+    def next_line(self, fast=None):
+        """The next non-blank line as (number, tokens).  A line with no ``#`` or carriage
+        return that ``fast(number, fields, text)`` proves well-formed and records is skipped."""
         while self.idx < len(self.lines):
-            n = self.idx + 1
-            toks = _tokens(self.lines[self.idx])
+            text = self.lines[self.idx]
             self.idx += 1
+            if fast is not None and "#" not in text and "\r" not in text:
+                fields = text.split()
+                if not fields or fast(self.idx, fields, text):
+                    continue
+            toks = _tokens(text)
             if toks:
-                return n, toks
+                return self.idx, toks
         return None, None
 
     def want_ident(self, tok, line, what):
@@ -148,8 +154,21 @@ class _Parser:
         objects: list[str] = []
         arrows: dict[str, tuple[str, str]] = {}
         explicit: dict[tuple[str, str], str] = {}
+
+        def fast(n, f, text):
+            # comp lines of two composable non-identity arrows, not yet given
+            if len(f) != 6 or f[0] != "comp" or f[2] != "." or f[4] != "=":
+                return False
+            g, h, k = f[1], f[3], f[5]
+            known = g in arrows and h in arrows and (k in arrows or k in objects)
+            if not known or arrows[g][0] != arrows[h][1] or (g, h) in explicit:
+                return False
+            explicit[(g, h)] = k
+            self.spans[("comp", g, h)] = Span(n, len(text) - len(text.lstrip()) + 1)
+            return True
+
         while True:
-            line, toks = self.next_line()
+            line, toks = self.next_line(fast)
             if toks is None:
                 self.err("E_SYNTAX", "category block not closed with 'end'", len(self.lines), 1)
             head, col = toks[0]
@@ -235,8 +254,34 @@ class _Parser:
         points: set[str] = set()
         morphisms = set(category.morphisms)
         table: dict[tuple[str, str], str] = {}
+
+        def fast(n, f, text):
+            # act lines over declared names with a new (g, x)
+            if f[0] == "act":
+                if len(f) != 5 or f[3] != "=":
+                    return False
+                g, x, y = f[1], f[2], f[4]
+                if g not in morphisms or x not in points or y not in points or (g, x) in table:
+                    return False
+                table[(g, x)] = y
+                self.spans[("act", g, x)] = Span(n, len(text) - len(text.lstrip()) + 1)
+                return True
+            # point lines of new, distinct identifiers
+            new = f[1:]
+            if f[0] != "point" or not _IDENT.match("".join(new)) or "empty" in new:
+                return False
+            if len(set(new)) != len(new) or not points.isdisjoint(new):
+                return False
+            pos = text.index("point") + len("point")
+            for p in new:
+                pos = text.index(p, pos)
+                self.spans[("point", p)] = Span(n, pos + 1)
+                pos += len(p)
+            points.update(new)
+            return True
+
         while True:
-            line, toks = self.next_line()
+            line, toks = self.next_line(fast)
             if toks is None:
                 self.err("E_SYNTAX", "action block not closed with 'end'", len(self.lines), 1)
             head, col = toks[0]
@@ -481,6 +526,37 @@ def _validation_json(rep: ValidationReport) -> dict:
     }
 
 
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for byte, for
+    str, int, bool, None, lists, tuples and str-keyed dicts.  The standard encoder
+    leaves its C fast path whenever ``indent`` is set; this joins the same layout
+    container by container, strings quoted by the C ``encode_basestring_ascii``."""
+
+    def enc(o, ind):
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = ind + "  "
+            items = [
+                f"{_quote(k)}: {_quote(v) if isinstance(v, str) else enc(v, inner)}"
+                for k, v in sorted(o.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + ind + "}"
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = ind + "  "
+            items = [_quote(v) if isinstance(v, str) else enc(v, inner) for v in o]
+            return "[" + inner + ("," + inner).join(items) + ind + "]"
+        if isinstance(o, str):
+            return _quote(o)
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        return int.__repr__(o)  # a TypeError for anything but an int
+
+    return enc(obj, "\n") + "\n"
+
+
 def serialize(obj, fmt: str = "text") -> str:
     """Render a scenario, report, or globalization canonically.
 
@@ -490,22 +566,14 @@ def serialize(obj, fmt: str = "text") -> str:
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if isinstance(obj, Scenario):
-        if fmt == "text":
-            return _scenario_text(obj)
-        return json.dumps(_scenario_json(obj), indent=2, sort_keys=True) + "\n"
-    if isinstance(obj, Globalization):
-        if fmt == "text":
-            return _globalization_text(obj)
-        return json.dumps(_globalization_json(obj), indent=2, sort_keys=True) + "\n"
-    if isinstance(obj, AxiomReport):
-        if fmt == "text":
-            return _axiom_report_text(obj)
-        return json.dumps(_axiom_report_json(obj), indent=2, sort_keys=True) + "\n"
-    if isinstance(obj, ValidationReport):
-        if fmt == "text":
-            return _validation_text(obj)
-        return json.dumps(_validation_json(obj), indent=2, sort_keys=True) + "\n"
+    for kind, text, data in (
+        (Scenario, _scenario_text, _scenario_json),
+        (Globalization, _globalization_text, _globalization_json),
+        (AxiomReport, _axiom_report_text, _axiom_report_json),
+        (ValidationReport, _validation_text, _validation_json),
+    ):
+        if isinstance(obj, kind):
+            return text(obj) if fmt == "text" else to_json(data(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -147,27 +147,30 @@ def equiv_closure(xbar: XBar, sim: Iterable[tuple[El, El]]) -> Partition:
 
     ``sim`` is any iterable of (src, dst) element pairs, such as a
     :class:`SimRelation`.  Union-find runs over the indices of
-    ``xbar.elements``.  Classes are sorted internally and listed by their
-    least member.
+    ``xbar.elements``, looked up per morphism as ``idx[g][x]``, with path
+    halving inlined; the lesser root wins.  Classes are sorted internally
+    and listed by their least member.
     """
-    index = {el: i for i, el in enumerate(xbar.elements)}
-    parent = list(range(len(index)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for src, dst in sim:
-        a, b = find(index[src]), find(index[dst])
+    idx: dict[str, dict[Pt, int]] = {}
+    for i, (g, x) in enumerate(xbar.elements):
+        idx.setdefault(g, {})[x] = i
+    parent = list(range(len(xbar.elements)))
+    for (f, x), (g, y) in sim:
+        a = idx[f][x]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        b = idx[g][y]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a < b:
             parent[b] = a
         elif b < a:
             parent[a] = b
+    # Roots are least indices, so parent[i] <= i: one forward pass finds them all.
     groups: dict[int, list[El]] = {}
     for i, el in enumerate(xbar.elements):
-        groups.setdefault(find(i), []).append(el)
+        parent[i] = root = parent[parent[i]]
+        groups.setdefault(root, []).append(el)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 

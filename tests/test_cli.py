@@ -212,6 +212,67 @@ def test_missing_file_exits_two():
         assert code == 2 and out == "" and err != "", argv
 
 
+def test_non_utf8_input_exits_two(tmp_path):
+    bad = tmp_path / "bad.pcat"
+    bad.write_bytes(b"category c\xff\n")
+    for argv in (["validate", str(bad)], ["mediate", fx("arrow_small"), "--target", str(bad)]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"{bad}: not valid UTF-8 at line 1 (invalid start byte)\n", argv
+
+
+def test_bom_prefixed_input_reads_as_without_bom(tmp_path):
+    src, tgt = tmp_path / "src.pcat", tmp_path / "tgt.pcat"
+    src.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / "arrow_small.pcat").read_bytes())
+    tgt.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / "arrow_small_target.pcat").read_bytes())
+    assert run_cli(["validate", str(src)]) == run_cli(["validate", fx("arrow_small")])
+    mediated = run_cli(["mediate", fx("arrow_small"), "--target", str(tgt)])
+    assert mediated == (0, golden_text("mediate_arrow_small.txt"), "")
+
+
+def test_json_output_is_json_dumps_bytes(monkeypatch):
+    # Every --json payload goes through one direct writer; on every fixture
+    # it must write exactly json.dumps(indent=2, sort_keys=True) plus a newline.
+    import pcat.cli
+    import pcat.dsl
+
+    writer = pcat.dsl.to_json
+    payloads = []
+
+    def checked(obj):
+        payloads.append(obj)
+        text = writer(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return text
+
+    monkeypatch.setattr(pcat.dsl, "to_json", checked)
+    monkeypatch.setattr(pcat.cli, "to_json", checked)
+    target = fx("arrow_small_target")
+    run_cli(["oracle", "--json", "--max-size", "1"])
+    # The fixture's own suite only; the randomized suites were written above.
+    monkeypatch.setattr(pcat.cli, "run_oracle", lambda seed, max_size: [])
+    stems = sorted(p.stem for p in FIXTURE_DIR.glob("*.pcat"))
+    for stem in stems:
+        for argv in (
+            ["validate", "--json", fx(stem)],
+            ["globalize", "--json", fx(stem)],
+            ["mediate", "--json", "--target", target, fx(stem)],
+            ["topo", "--json", fx(stem)],
+            ["topo", "--json", "--target", target, fx(stem)],
+            ["oracle", "--json", "--max-size", "3", fx(stem)],
+        ):
+            run_cli(argv)
+    assert len(stems) == 7 and len(payloads) == 35
+    assert sorted({" ".join(sorted(p)) for p in payloads}) == [
+        "action axioms classes embedding",
+        "action category",
+        "action category groupoid_action",
+        "checks ok quotient_opens",
+        "compose_ok injective k",
+        "ok suites",
+    ]
+
+
 def test_parse_error_exits_two_with_span(tmp_path):
     bad = tmp_path / "bad.pcat"
     bad.write_text("category c\nobject e\nmor g : e -> zz\nend\naction a\npoint 1\nend\n")

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+import pcat.dsl as dsl
 from pcat import (
     AxiomReport,
     Category,
     ParseError,
+    PartialAction,
+    Scenario,
     Span,
     build_globalization,
     check_category_axioms,
@@ -16,6 +19,8 @@ from pcat import (
     serialize,
     validate_category,
 )
+from pcat.dsl import to_json
+from pcat.oracle import group_category
 
 from conftest import FIXTURE_DIR, fixture_text
 
@@ -166,6 +171,56 @@ PARSE_ERRORS = [
         5,
     ),
     ("category c\nobject e\nend\naction a\npoint 1\nact e 1 = 9\nend\n", "E_UNKNOWN_ID", 6, 11),
+    # act, comp and point lines that the split fast path must hand to the lexer
+    ("category c\nobject e\nend\naction a\npoint 1\npoint 2 1\nend\n", "E_DUP_DEF", 6, 9),
+    ("category c\nobject e\nend\naction a\npoint 1 a-b\nend\n", "E_SYNTAX", 5, 10),
+    ("category c\nobject e\nend\naction a\n\tpoint\t1 2\t1\nend\n", "E_DUP_DEF", 5, 12),
+    ("category c\nobject e\nend\naction a\npoint 1\nact empty 1 = 1\nend\n", "E_SYNTAX", 6, 5),
+    ("category c\nobject e\nend\naction a\npoint 1\nact e 1 = 1 1\nend\n", "E_SYNTAX", 6, 1),
+    (
+        "category c\nobject e\nend\naction a\npoint 1\n\u3000act e 9 = 1  # unknown\r\nend\n",
+        "E_UNKNOWN_ID",
+        6,
+        8,
+    ),
+    (
+        "category c\nobject e\nend\naction a\npoint 1\nact e 1 = 1\n\tact\te\t1=1\nend\n",
+        "E_DUP_DEF",
+        7,
+        2,
+    ),
+    (
+        "category c\nobject e\nmor g : e -> e\ncomp g . zz = g\nend\naction a\npoint 1\nend\n",
+        "E_UNKNOWN_ID",
+        4,
+        10,
+    ),
+    (
+        "category c\nobject e\nmor g : e -> e\ncomp g . empty = g\nend\naction a\npoint 1\nend\n",
+        "E_SYNTAX",
+        4,
+        10,
+    ),
+    (
+        "category c\nobject e\nmor g : e -> e\ncomp g . g = e\n\tcomp g.g=e\nend\n"
+        "action a\npoint 1\nend\n",
+        "E_DUP_DEF",
+        5,
+        2,
+    ),
+    (
+        "category c\nobject e\nmor g : e -> e\ncomp g . g = e\r\ncomp g . g = e\r\nend\n"
+        "action a\npoint 1\nend\n",
+        "E_DUP_DEF",
+        5,
+        1,
+    ),
+    (
+        "category c\nobject e\nmor g : e -> e\n  comp g . g e\nend\naction a\npoint 1\nend\n",
+        "E_SYNTAX",
+        4,
+        3,
+    ),
 ]
 
 
@@ -178,6 +233,124 @@ def test_parse_error_codes_and_spans(text, code, line, col):
     assert (err.line, err.col) == (line, col)
     assert str(err).startswith(f"{line}:{col}: {code}: ")
     assert err.reason
+
+
+def _lexer_only(monkeypatch):
+    """Turn the split fast path off, so every line goes through the regex lexer."""
+    plain = dsl._Parser.next_line
+    monkeypatch.setattr(dsl._Parser, "next_line", lambda self, fast=None: plain(self))
+
+
+def _error(text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    return exc.value.code, exc.value.line, exc.value.col, str(exc.value)
+
+
+@pytest.mark.parametrize("text,code,line,col", PARSE_ERRORS)
+def test_fast_path_errors_match_the_lexer(text, code, line, col, monkeypatch):
+    fast = _error(text)
+    _lexer_only(monkeypatch)
+    assert _error(text) == fast
+
+
+ISO_SHIFT = fixture_text("iso_shift")
+
+# Respellings of iso_shift's act, comp and point lines, with some of the spans
+# the regex lexer gives them.
+SPELLINGS = [
+    ("crlf", ISO_SHIFT.replace("\n", "\r\n"), {("act", "g", "1"): Span(16, 3)}),
+    (
+        "tabs",
+        ISO_SHIFT.replace("  ", "\t")
+        .replace("act g 1 = 2", "act\tg\t1\t=\t2")
+        .replace("comp g . g_inv", "comp\tg\t.\tg_inv"),
+        {("act", "g", "1"): Span(16, 2), ("comp", "g", "g_inv"): Span(6, 2), ("point", "1"): Span(10, 8)},
+    ),
+    (
+        "non-ascii whitespace",
+        ISO_SHIFT.replace("  point 1 2", "\xa0point 1\u30002")
+        .replace("  act g_inv", "\u2003act\u2003g_inv")
+        .replace("  comp g_inv", "\u3000comp g_inv"),
+        {("act", "g_inv", "2"): Span(18, 2), ("comp", "g_inv", "g"): Span(7, 2), ("point", "2"): Span(10, 10)},
+    ),
+    (
+        "comments",
+        ISO_SHIFT.replace("act g 1 = 2", "act g 1 = 2  # step")
+        .replace("point 1 2 3", "point 1 2 3 # carrier")
+        .replace("comp g . g_inv = f", "comp g . g_inv = f#id"),
+        {("act", "g", "1"): Span(16, 3), ("comp", "g", "g_inv"): Span(6, 3), ("point", "3"): Span(10, 13)},
+    ),
+    (
+        "glued",
+        ISO_SHIFT.replace("act g 1 = 2", "act g 1=2")
+        .replace("comp g_inv . g = e", "comp g_inv.g = e")
+        .replace("  act e 3 = 3", "act e 3 =3"),
+        {("act", "g", "1"): Span(16, 3), ("act", "e", "3"): Span(13, 1), ("comp", "g_inv", "g"): Span(7, 3)},
+    ),
+    (
+        "two point lines",
+        ISO_SHIFT.replace("point 1 2 3", "point 2\n  point 3   1"),
+        {("point", "1"): Span(11, 13), ("point", "2"): Span(10, 9), ("act", "g", "1"): Span(17, 3)},
+    ),
+]
+
+
+@pytest.mark.parametrize("name,text,spans", SPELLINGS, ids=[s[0] for s in SPELLINGS])
+def test_fast_path_spellings_parse_like_the_lexer(name, text, spans, monkeypatch):
+    fast = parse(text)
+    assert fast == parse(ISO_SHIFT)
+    assert {key: fast.spans[key] for key in spans} == spans
+    _lexer_only(monkeypatch)
+    slow = parse(text)
+    assert fast == slow and fast.spans == slow.spans
+
+
+def test_fast_path_tokenizes_no_well_formed_act_comp_or_point_line(monkeypatch):
+    # 600 points of 150 regular Z4 copies: 2400 act lines, 9 comp lines
+    # between non-identity arrows, one point line.
+    z4 = group_category("z4")
+    names = ["e", "m1", "m2", "m3"]
+    points = [f"p{c}_{h}" for c in range(150) for h in range(4)]
+    steps = {
+        (names[g], f"p{c}_{h}"): f"p{c}_{(g + h) % 4}"
+        for g in range(4)
+        for c in range(150)
+        for h in range(4)
+    }
+    act = PartialAction.make(points, steps)
+    text = serialize(Scenario("z4", "copies", z4, act, None, None, None))
+    lexed = []
+    plain = dsl._tokens
+    monkeypatch.setattr(dsl, "_tokens", lambda line: lexed.append(line.split()[:1]) or plain(line))
+    sc = parse(text)
+    assert sc.category == z4 and sc.action == act
+    assert lexed and ["object"] in lexed
+    assert [head for head in lexed if head in (["act"], ["comp"], ["point"])] == []
+
+
+JSON_EDGES = [
+    [],
+    {},
+    [[], {}],
+    {"a": {}, "b": [[]], "c": {"d": []}},
+    "",
+    'a "quoted" \\ back\\slash',
+    "caf\u00e9 \u4e2d \U0001f600 \x00\t\n\x7f",
+    True,
+    False,
+    None,
+    0,
+    -7,
+    2**70,
+    ("a", ("b", 1), ()),
+    {"b": 1, "a": [True, False, None, "x"], "A": ("t",), "\u00e9": {}},
+]
+
+
+@pytest.mark.parametrize("value", JSON_EDGES)
+def test_json_writer_matches_json_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_fixture_files_match_programmatic_builders():
