@@ -422,19 +422,38 @@ def mediating(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El
 def mediating_candidates(glob: Globalization, target: PartialAction, j: Mapping) -> list[dict]:
     """Every equivariant map out of the quotient that extends ``j``.
 
-    Exhaustive: values on embedded classes are pinned by ``j``; all value
-    assignments on the remaining classes are tried and filtered by the
-    equivariance check.  Intended for desk-scale uniqueness audits.
+    Exhaustive: values on embedded classes are pinned by ``j``; the others
+    are assigned depth-first in ``itertools.product`` order, a partial
+    assignment is dropped once an equivariance instance among its assigned
+    classes fails, and every complete one goes through
+    :func:`check_g_function`.  Intended for desk-scale uniqueness audits.
     """
     y_act = glob.as_action()
     pinned = {glob.embed[x]: j[x] for x in glob.source.carrier}
     free = [r for r in y_act.carrier if r not in pinned]
+    if (target.carrier or not free) and not set(pinned.values()) <= set(target.carrier):
+        # check_g_function raises this on the first candidate.
+        raise ValueError("map leaves the target carrier")
+    # The instance (g, x) -> y is decided once the later of x and y is assigned.
+    depth = {r: i for i, r in enumerate(free, 1)}
+    checks: list[list] = [[] for _ in range(len(free) + 1)]
+    for (g, x), y in y_act.table.items():
+        checks[max(depth.get(x, 0), depth.get(y, 0))].append((g, x, y))
+    cand = dict(pinned)
     found = []
-    for combo in itertools.product(target.carrier, repeat=len(free)):
-        cand = dict(pinned)
-        cand.update(zip(free, combo))
-        if check_g_function(cand, y_act, target).ok:
-            found.append(cand)
+
+    def extend(i: int) -> None:
+        if any(target.table.get((g, cand[x])) != cand[y] for g, x, y in checks[i]):
+            return
+        if i == len(free):
+            if check_g_function(cand, y_act, target).ok:
+                found.append(dict(cand))
+            return
+        for v in target.carrier:
+            cand[free[i]] = v
+            extend(i + 1)
+
+    extend(0)
     return found
 
 
@@ -539,6 +558,8 @@ def enumerate_globalizations(
     for n in range(len(X), max_size + 1):
         aux = _fresh_points(X, n - len(X))
         Z = sorted(X + aux, key=str)
+        ranks = _key_ranks(cat.morphisms, Z)
+        fresh = [z for z in Z if z in aux]
         obj_opts = []
         for e in cat.objects:
             base = frozenset(trip_dom.get(e, set()))
@@ -557,20 +578,52 @@ def enumerate_globalizations(
                 for (g, x), y in act.table.items()
             ):
                 continue
+            # Renaming fresh points renames a choice's receivers.  A choice is
+            # the first of its renaming class in product order exactly when its
+            # fresh points, in Z order, have non-increasing fibre memberships.
+            sig = [[z in s for s in choice] for z in fresh]
+            if any(a < b for a, b in zip(sig, sig[1:])):
+                continue
             for table in _functors(cat, sets, act):
                 target = PartialAction(tuple(Z), table)
-                key = _canonical_key(target, X, aux)
+                key = _canonical_key(target, X, aux, ranks)
                 if key not in seen:
                     seen[key] = (target, {x: x for x in X})
     return [seen[k] for k in sorted(seen)]
 
 
-def _canonical_key(target: PartialAction, X, aux) -> tuple:
+def _key_ranks(morphisms, points) -> tuple:
+    """Sorted morphisms and point names (``str``), and each one's rank there."""
+    gs, ps = sorted(morphisms), sorted({str(p) for p in points})
+    at = {s: i for i, s in enumerate(ps)}
+    return gs, ps, {g: i for i, g in enumerate(gs)}, {p: at[str(p)] for p in points}
+
+
+def _canonical_key(target: PartialAction, X, aux, ranks=None) -> tuple:
+    """The least sorted table of (g, str(x), str(y)) over renamings of the
+    fresh points ``aux`` (disjoint from ``X``).
+
+    Entries between points of X are fixed by every renaming, and sorted
+    multisets of equal size compare by the least element of their symmetric
+    difference, so only the entries touching ``aux`` are searched, coded as
+    integers through ``ranks`` (from :func:`_key_ranks` when not given).
+    """
+    gs, ps, g_rank, p_rank = ranks or _key_ranks({g for g, _ in target.table}, [*X, *aux])
+    n, nn = len(ps), len(ps) ** 2
+    # X's points are coded by rank, fresh point i by n + i; r[n + i] ranks its image.
+    code = {a: i for i, a in enumerate(aux, n)}
+    fixed, moving = [], []
+    for (g, x), y in target.table.items():
+        if x in code or y in code:
+            moving.append((g_rank[g] * nn, code.get(x, p_rank[x]), code.get(y, p_rank[y])))
+        else:
+            fixed.append(g_rank[g] * nn + p_rank[x] * n + p_rank[y])
+    r = list(range(n + len(aux)))
     best = None
-    for perm in itertools.permutations(aux):
-        ren = {a: b for a, b in zip(aux, perm)}
-        ren.update({x: x for x in X})
-        tab = tuple(sorted((g, str(ren[x]), str(ren[y])) for (g, x), y in target.table.items()))
-        if best is None or tab < best:
-            best = tab
-    return (len(target.carrier), best)
+    for perm in itertools.permutations([p_rank[a] for a in aux]):
+        r[n:] = perm
+        codes = sorted([c + r[x] * n + r[y] for c, x, y in moving])
+        if best is None or codes < best:
+            best = codes
+    key = tuple((gs[c // nn], ps[c // n % n], ps[c % n]) for c in sorted(fixed + best))
+    return (len(target.carrier), key)

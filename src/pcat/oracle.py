@@ -229,7 +229,13 @@ def random_valid_action(
                 table[(g, x)] = rng.choice(points)
 
     pairs = sorted(composable_pairs(cat))
+    states = set()
     for _ in range(max_rounds):
+        # A round is a function of the ordered table: a repeat never settles.
+        state = tuple(table.items())
+        if state in states:
+            return None
+        states.add(state)
         changed = False
         for (f, x), v in list(table.items()):
             if f in objs and v != x:
@@ -466,6 +472,7 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
         t_keys = [
             _canonical_key(t, act.carrier, [p for p in t.carrier if p not in base])
             for t, _ in targets
+            if len(t.carrier) == len(y_relabeled.carrier)
         ]
         if bound >= len(glob.classes) and y_key not in t_keys:
             failures.append(f"{name}: quotient missing from enumerated receivers")

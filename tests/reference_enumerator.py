@@ -1,17 +1,34 @@
-"""The receiver enumerator as it stood before the cell-by-cell search.
+"""The receiver sweep as it stood before its searches were pruned.
 
-Kept verbatim as a test-only reference: ``enumerate_globalizations`` here
-propagates forced values, prunes groupoid maps to bijections and re-checks
-every functor law at the leaves.  ``tests/test_globalization.py`` requires
-the library's enumerator to return an equal list on small inputs.  Nothing
-under ``src/`` imports this module.
+Kept verbatim as test-only references:
+
+- ``enumerate_globalizations`` propagates forced values, prunes groupoid
+  maps to bijections and re-checks every functor law at the leaves;
+- ``_canonical_key`` tries every permutation of the fresh points and sorts
+  the whole table for each;
+- ``mediating_candidates`` tries the full product of target points over the
+  free classes;
+- ``random_valid_action`` runs every repair round until the table settles
+  or the rounds run out.
+
+``tests/test_globalization.py`` and ``tests/test_oracle.py`` require the
+library's versions to return equal results.  Nothing under ``src/`` imports
+this module.
 """
 
 import itertools
+import random
+from typing import Mapping, Optional
 
-from pcat.action import PartialAction
+from pcat.action import PartialAction, check_category_axioms
 from pcat.category import Category, composable_pairs, is_groupoid
-from pcat.globalization import Pt, _canonical_key, _fresh_points, _require_c123
+from pcat.globalization import (
+    Globalization,
+    Pt,
+    _fresh_points,
+    _require_c123,
+    check_g_function,
+)
 
 
 def _maps_for(cat, pairs, order, idx, assign, seeds, sets, groupoid):
@@ -128,3 +145,101 @@ def enumerate_globalizations(
                 if key not in seen:
                     seen[key] = (target, {x: x for x in X})
     return [seen[k] for k in sorted(seen)]
+
+
+def _canonical_key(target: PartialAction, X, aux) -> tuple:
+    best = None
+    for perm in itertools.permutations(aux):
+        ren = {a: b for a, b in zip(aux, perm)}
+        ren.update({x: x for x in X})
+        tab = tuple(sorted((g, str(ren[x]), str(ren[y])) for (g, x), y in target.table.items()))
+        if best is None or tab < best:
+            best = tab
+    return (len(target.carrier), best)
+
+
+def mediating_candidates(glob: Globalization, target: PartialAction, j: Mapping) -> list[dict]:
+    """Every equivariant map out of the quotient that extends ``j``.
+
+    Exhaustive: values on embedded classes are pinned by ``j``; all value
+    assignments on the remaining classes are tried and filtered by the
+    equivariance check.  Intended for desk-scale uniqueness audits.
+    """
+    y_act = glob.as_action()
+    pinned = {glob.embed[x]: j[x] for x in glob.source.carrier}
+    free = [r for r in y_act.carrier if r not in pinned]
+    found = []
+    for combo in itertools.product(target.carrier, repeat=len(free)):
+        cand = dict(pinned)
+        cand.update(zip(free, combo))
+        if check_g_function(cand, y_act, target).ok:
+            found.append(cand)
+    return found
+
+
+def random_valid_action(
+    rng: random.Random, cat: Category, points, density: float = 0.4, max_rounds: int = 60
+) -> Optional[PartialAction]:
+    """A table repaired to satisfy C1-C3, or None when repair fails to settle.
+
+    Repair alternates: force identity rows to fix their points, add the
+    base step each defined step needs, and close definedness along
+    composites; on a value conflict the non-identity culprit is dropped.
+    """
+    objs = set(cat.objects)
+    table: dict[tuple[str, str], str] = {}
+    for x in points:
+        for e in rng.sample(sorted(objs), rng.randint(1, len(objs))):
+            table[(e, x)] = x
+    for g in cat.morphisms:
+        if g in objs:
+            continue
+        for x in points:
+            if rng.random() < density:
+                table[(g, x)] = rng.choice(points)
+
+    pairs = sorted(composable_pairs(cat))
+    for _ in range(max_rounds):
+        changed = False
+        for (f, x), v in list(table.items()):
+            if f in objs and v != x:
+                del table[(f, x)]
+                changed = True
+        for (g, x) in list(table):
+            if (cat.dom[g], x) not in table:
+                table[(cat.dom[g], x)] = x
+                changed = True
+        for (g, h) in pairs:
+            k = cat.comp[(g, h)]
+            for x in points:
+                if (h, x) not in table:
+                    continue
+                y = table[(h, x)]
+                a = table.get((k, x))
+                b = table.get((g, y))
+                if a is None and b is None:
+                    continue
+                if a is None:
+                    if k in objs and b != x:
+                        del table[(g, y)]
+                    else:
+                        table[(k, x)] = b
+                    changed = True
+                elif b is None:
+                    if g in objs and a != y:
+                        del table[(k, x)]
+                    else:
+                        table[(g, y)] = a
+                    changed = True
+                elif a != b:
+                    del table[(k, x) if k not in objs else (g, y)]
+                    changed = True
+        if not changed:
+            break
+    else:
+        return None
+    act = PartialAction(tuple(sorted(points)), table)
+    rep = check_category_axioms(cat, act)
+    if not rep.passed("C1", "C2", "C3"):
+        return None
+    return act

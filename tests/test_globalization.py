@@ -27,10 +27,18 @@ from pcat import (
     mediating_candidates,
     parse,
 )
+from pcat import globalization
 from pcat.fixtures import FIXTURES, arrow_category
-from pcat.globalization import _canonical_key, naive_closure, sim_pairs, witness_traces
+from pcat.globalization import (
+    _canonical_key,
+    _key_ranks,
+    naive_closure,
+    sim_pairs,
+    witness_traces,
+)
 from pcat.oracle import (
     _relabel_as_extension,
+    chain_category,
     group_category,
     random_category,
     random_points,
@@ -358,20 +366,168 @@ def test_enumerator_matches_the_reference_enumerator():
         ), (cat, act, bound)
 
 
-def test_enumerate_z4_receivers_at_bound_8_within_a_second():
-    # Forced-value propagation alone took seconds here: m1 and m3 swap 2
-    # and 3 but leave the values of fresh points free until the leaves.
+def _z4_swap():
     cat = group_category("z4")
     table = {("e", x): x for x in "1234"}
     for m in ("m1", "m3"):
         table.update({(m, "2"): "3", (m, "3"): "2", (m, "4"): "4"})
     table.update({("m2", x): x for x in "234"})
-    act = PartialAction(("1", "2", "3", "4"), table)
+    return cat, PartialAction(("1", "2", "3", "4"), table)
+
+
+def test_enumerate_z4_receivers_at_bound_8_within_a_second():
+    # Forced-value propagation alone took seconds here: m1 and m3 swap 2
+    # and 3 but leave the values of fresh points free until the leaves.
+    cat, act = _z4_swap()
     t0 = time.perf_counter()
     found = enumerate_globalizations(cat, act, 8)
     elapsed = time.perf_counter() - t0
     assert len(found) == 18
     assert elapsed <= 1.0, elapsed
+
+
+def _fixture_actions():
+    """Each distinct (category, action) pair among the fixture files."""
+    found = []
+    for path in sorted(FIXTURE_DIR.glob("*.pcat")):
+        sc = parse(path.read_text(encoding="utf-8"))
+        if (sc.category, sc.action) not in found:
+            found.append((sc.category, sc.action))
+    return found
+
+
+def test_canonical_key_matches_the_reference_key():
+    cases = [(cat, act, 6) for cat, act in _fixture_actions()]
+    rng = random.Random(9)
+    while len(cases) < len(_fixture_actions()) + 200:
+        cat = random_category(rng)
+        act = random_valid_action(rng, cat, random_points(rng, 3), rng.uniform(0.2, 0.7))
+        if act is not None:
+            # The three-object chain has 10^4-10^5 receivers at bound 4.
+            top = 4 if len(cat.objects) < 3 else 3
+            cases.append((cat, act, rng.randint(len(act.carrier), max(top, len(act.carrier)))))
+    cases.append((*_z4_swap(), 8))
+    keyed = 0
+    for cat, act, bound in cases:
+        X = list(act.carrier)
+        for target, _ in enumerate_globalizations(cat, act, bound):
+            aux = [z for z in target.carrier if z not in act.carrier]
+            want = reference._canonical_key(target, X, aux)
+            assert _canonical_key(target, X, aux) == want, (cat, act, target)
+            ranks = _key_ranks(cat.morphisms, target.carrier)
+            assert _canonical_key(target, X, aux, ranks) == want, (cat, act, target)
+            keyed += 1
+    assert keyed > 20000
+
+
+@pytest.mark.parametrize(
+    "stem, calls, receivers",
+    [("iso_fixed", 80, 152), ("iso_shift", 40, 30), ("arrow_small", 80, 10974)],
+)
+def test_enumerator_skips_fibre_choices_a_renaming_puts_earlier(stem, calls, receivers, monkeypatch):
+    # Without the skip the search runs on 160 / 80 / 160 fibre choices.
+    searched = []
+    functors = globalization._functors
+
+    def counted(cat, sets, act):
+        searched.append(sets)
+        return functors(cat, sets, act)
+
+    monkeypatch.setattr(globalization, "_functors", counted)
+    cat, act = load(stem)
+    assert len(enumerate_globalizations(cat, act, 6)) == receivers
+    assert len(searched) == calls
+
+
+def _outcome(fn, *args):
+    try:
+        return [list(c.items()) for c in fn(*args)]
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def test_mediating_candidates_match_the_product_search():
+    cases = []
+    for cat, act in _fixture_actions():
+        glob = build_globalization(cat, act)
+        cases += [(glob, t, j) for t, j in enumerate_globalizations(cat, act, len(act.carrier) + 1)]
+    rng = random.Random(31)
+    drawn = 0
+    while drawn < 60:
+        cat = random_category(rng)
+        act = random_valid_action(rng, cat, random_points(rng, 3), rng.uniform(0.2, 0.7))
+        if act is None:
+            continue
+        glob = build_globalization(cat, act)
+        if len(glob.classes) > 8:
+            continue  # the product search would run for seconds
+        drawn += 1
+        top = 4 if len(cat.objects) < 3 else 3
+        receivers = enumerate_globalizations(cat, act, max(min(len(glob.classes) + 1, top), len(act.carrier)))
+        for target, j in rng.sample(receivers, min(4, len(receivers))):
+            cases.append((glob, target, j))
+            # Pinned classes that may break equivariance among themselves.
+            cases.append((glob, target, {x: rng.choice(target.carrier) for x in j}))
+    # A global source leaves no free class, and j may leave the target.
+    cat, act = load("iso_shift")
+    target = _relabel_as_extension(build_globalization(cat, act))
+    glob = build_globalization(cat, target)
+    ident = {x: x for x in target.carrier}
+    flipped = dict(ident, **{"1": "2", "2": "1"})
+    outside = dict(ident, **{"1": "zz"})
+    cases += [(glob, target, ident), (glob, target, flipped), (glob, target, outside)]
+    cat, act = load("arrow_small")
+    glob = build_globalization(cat, act)
+    target, j = enumerate_globalizations(cat, act, 4)[-1]
+    cases += [(glob, target, dict(j, **{"1": "zz"})), (glob, target, dict(j, **{"1": "2", "2": "1"}))]
+    empty = PartialAction((), {})
+    cases.append((glob, empty, {x: x for x in act.carrier}))
+    outcomes = []
+    for glob, target, j in cases:
+        want = _outcome(reference.mediating_candidates, glob, target, j)
+        assert _outcome(mediating_candidates, glob, target, j) == want, (glob.source, target, j)
+        outcomes.append(want)
+    assert any(o == [] for o in outcomes)
+    assert any(isinstance(o, list) and len(o) == 1 for o in outcomes)
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def _chain_scenario():
+    """Four points over the chain a -> b -> c; half its 8 classes are fresh."""
+    table = {("a", x): x for x in "1234"}
+    table.update({("b", x): x for x in "234"})
+    table.update({("c", x): x for x in "1234"})
+    steps = {("p", "2"): "2", ("p", "3"): "3", ("q", "3"): "4"}
+    steps.update({("qp", "1"): "1", ("qp", "3"): "4", ("qp", "4"): "4"})
+    table.update(steps)
+    return chain_category(), PartialAction(("1", "2", "3", "4"), table)
+
+
+def test_mediating_candidates_prune_the_product_of_free_classes():
+    # An 8-point receiver: one fresh point w0 over all three objects, and
+    # w1-w3 over c alone.  The product search checks 8 ** 4 candidates,
+    # about 0.1 s on a 2-core x86-64 VM; the pruned search about 0.1 ms.
+    cat, act = _chain_scenario()
+    glob = build_globalization(cat, act)
+    assert len(glob.classes) == 8
+    points = ("1", "2", "3", "4", "w0", "w1", "w2", "w3")
+    table = {(e, z): z for e in "abc" for z in ("1", "2", "3", "4", "w0")}
+    table.update({("c", z): z for z in ("w1", "w2", "w3")})
+    table.update(zip([("p", z) for z in ("1", "2", "3", "4", "w0")], "1232w"))
+    table.update(zip([("q", z) for z in ("1", "2", "3", "4", "w0")], "14414"))
+    table.update(zip([("qp", z) for z in ("1", "2", "3", "4", "w0")], "14444"))
+    table[("p", "w0")] = "w0"
+    target = PartialAction(points, table)
+    j = {x: x for x in act.carrier}
+    assert check_category_axioms(cat, target).all_pass
+    assert check_g_function(j, act, target).ok
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        found = mediating_candidates(glob, target, j)
+        elapsed.append(time.perf_counter() - t0)
+    assert found == [mediating(glob, target, j)]
+    assert min(elapsed) <= 0.01, elapsed
 
 
 def test_mediating_unique_across_small_receivers():

@@ -1,5 +1,6 @@
 """Tests for the randomized cross-check suites and their generators."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from pcat import (
     validate_category,
     validate_topology,
 )
+from pcat.category import composable_pairs
 from pcat.oracle import (
     chain_category,
     connected_groupoid,
@@ -25,6 +27,7 @@ from pcat.oracle import (
     random_topology,
     random_valid_action,
     run_oracle,
+    small_category,
     suite_axiom_equivalence,
     suite_closure_equivalence,
     suite_embedding_open,
@@ -33,6 +36,7 @@ from pcat.oracle import (
     suite_universality,
 )
 
+import reference_enumerator as reference
 from conftest import fixture_text
 
 
@@ -89,6 +93,46 @@ def test_random_valid_action_always_satisfies_first_three_axioms():
         rep = check_category_axioms(cat, act)
         assert rep.passed("C1", "C2", "C3")
     assert produced > 60
+
+
+class _CountingComp(dict):
+    """A composition table that counts lookups: repair reads it once per
+    composable pair per round, so the count gives the rounds run."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_random_valid_action_matches_the_reference_repair_loop():
+    makers = (
+        random_category,
+        small_category,
+        lambda rng: group_category(rng.choice(["z2", "z3", "z4", "klein", "s3"])),
+    )
+    rng = random.Random(60)
+    cycle_stops = 0
+    for i in range(2100):
+        cat = makers[i % 3](rng)
+        points = random_points(rng)
+        density = rng.uniform(0.15, 0.8)
+        seed = rng.randrange(2**32)
+        runs = []
+        for repair in (random_valid_action, reference.random_valid_action):
+            counted = dataclasses.replace(cat, comp=_CountingComp(cat.comp))
+            rng_i = random.Random(seed)
+            act = repair(rng_i, counted, points, density)
+            table = None if act is None else (act.carrier, list(act.table.items()))
+            runs.append((table, rng_i.getstate(), counted.comp.lookups))
+        (got, got_state, got_reads), (want, want_state, want_reads) = runs
+        assert got == want, (i, cat, points)
+        assert got_state == want_state, i
+        # The reference reads no more after its last round when it runs out.
+        if want is None and want_reads == 60 * len(composable_pairs(cat)) > got_reads:
+            cycle_stops += 1
+    assert cycle_stops > 0
 
 
 def test_random_topology_is_valid():
