@@ -10,6 +10,7 @@ raise ``ValueError`` only for structurally ill-formed input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Any, Mapping, Optional
 
 from .category import Category, GroupoidWitness, composable_pairs
@@ -56,9 +57,28 @@ class AxiomReport:
         return {a: not w for a, w in self.witnesses.items()}
 
 
-def _check_refs(cat: Category, act: PartialAction) -> None:
+_UNDEF = object()
+_NO_ROW: dict = {}
+Rows = Mapping[str, Mapping[Pt, Pt]]
+
+
+def _rows(act: PartialAction) -> dict[str, dict[Pt, Pt]]:
+    """The table regrouped by morphism: ``rows[g][x] = g.x``."""
+    rows: dict[str, dict[Pt, Pt]] = {}
+    for (g, x), y in act.table.items():
+        rows.setdefault(g, {})[x] = y
+    return rows
+
+
+def _check_refs(cat: Category, act: PartialAction, rows: Rows) -> None:
+    """Raise ``ValueError`` at the first table entry, in table order, that
+    names an unknown morphism or leaves the carrier."""
     mors = set(cat.morphisms)
     pts = set(act.carrier)
+    if rows.keys() <= mors and all(
+        row.keys() <= pts and pts.issuperset(row.values()) for row in rows.values()
+    ):
+        return
     for (g, x), y in act.table.items():
         if g not in mors:
             raise ValueError(f"action references unknown morphism {g!r}")
@@ -66,26 +86,44 @@ def _check_refs(cat: Category, act: PartialAction) -> None:
             raise ValueError(f"action entry ({g!r}, {x!r}) -> {y!r} leaves the carrier")
 
 
-def _c1_witnesses(cat: Category, act: PartialAction) -> tuple[tuple, ...]:
-    t = act.table
+def _c1_witnesses(cat: Category, act: PartialAction, rows: Rows) -> tuple[tuple, ...]:
+    """Uncovered points and moved identity steps, carrier-major."""
+    covered: set = set()
+    moved: dict[str, set] = {}
+    for e in cat.objects:
+        row = rows.get(e, _NO_ROW)
+        covered.update(row)
+        if not all(map(eq, row, row.values())):
+            moved[e] = {x for x, y in row.items() if y != x}
+    if not moved and covered.issuperset(act.carrier):
+        return ()
     out: list[tuple] = []
     for x in act.carrier:
-        if not any((e, x) in t for e in cat.objects):
+        if x not in covered:
             out.append((x,))
-        for e in cat.objects:
-            if (e, x) in t and t[(e, x)] != x:
-                out.append((e, x))
+        out.extend((e, x) for e, xs in moved.items() if x in xs)
     return tuple(out)
 
 
-def _c4_witnesses(cat: Category, act: PartialAction) -> tuple[tuple, ...]:
-    t = act.table
-    return tuple(
-        (g, x)
-        for g in cat.morphisms
-        for x in act.carrier
-        if (cat.dom[g], x) in t and (g, x) not in t
-    )
+def _c2_witnesses(cat: Category, rows: Rows) -> tuple[tuple, ...]:
+    """Steps g.x whose base step dom(g).x is undefined, sorted."""
+    out = []
+    for g, row in rows.items():
+        base = rows.get(cat.dom[g], _NO_ROW)
+        if not row.keys() <= base.keys():
+            out.extend((g, x) for x in row if x not in base)
+    return tuple(sorted(out))
+
+
+def _c4_witnesses(cat: Category, act: PartialAction, rows: Rows) -> tuple[tuple, ...]:
+    """Undefined steps g.x over a defined dom(g).x, morphism-major."""
+    out = []
+    for g in cat.morphisms:
+        base, row = rows.get(cat.dom[g], _NO_ROW), rows.get(g, _NO_ROW)
+        if not base.keys() <= row.keys():
+            gap = base.keys() - row.keys()
+            out.extend((g, x) for x in filter(gap.__contains__, act.carrier))
+    return tuple(out)
 
 
 def composites_after(cat: Category) -> dict[str, list[tuple[str, str]]]:
@@ -96,18 +134,6 @@ def composites_after(cat: Category) -> dict[str, list[tuple[str, str]]]:
         if d is not None and d == cat.cod.get(h):
             after.setdefault(h, []).append((g, k))
     return after
-
-
-_UNDEF = object()
-_NO_ROW: dict = {}
-
-
-def _rows(act: PartialAction) -> dict[str, dict[Pt, Pt]]:
-    """The table regrouped by morphism: ``rows[g][x] = g.x``."""
-    rows: dict[str, dict[Pt, Pt]] = {}
-    for (g, x), y in act.table.items():
-        rows.setdefault(g, {})[x] = y
-    return rows
 
 
 def _pair_major(act: PartialAction, witnesses: list[tuple]) -> tuple[tuple, ...]:
@@ -130,11 +156,9 @@ def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
     C3 visits each defined step (h, x) -> y once per g composable after h,
     so it costs O(defined steps x composable g).
     """
-    _check_refs(cat, act)
-    t = act.table
-    c2 = sorted(key for key in t if (cat.dom[key[0]], key[1]) not in t)
-    c3: list[tuple] = []
     rows = _rows(act)
+    _check_refs(cat, act, rows)
+    c3: list[tuple] = []
     after = composites_after(cat)
     for h, row_h in rows.items():
         for g, k in after.get(h, ()):
@@ -145,10 +169,10 @@ def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
 
     return AxiomReport(
         {
-            "C1": _c1_witnesses(cat, act),
-            "C2": tuple(c2),
+            "C1": _c1_witnesses(cat, act, rows),
+            "C2": _c2_witnesses(cat, rows),
             "C3": _pair_major(act, c3),
-            "C4": _c4_witnesses(cat, act),
+            "C4": _c4_witnesses(cat, act, rows),
         }
     )
 
@@ -161,11 +185,11 @@ def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialActio
     composition in the stepwise-to-composite direction only.  GR3 uses the
     same step index as C3.
     """
-    _check_refs(cat, act)
+    rows = _rows(act)
+    _check_refs(cat, act, rows)
     t = act.table
     gr2 = sorted(key for key, y in t.items() if t.get((wit.inverse[key[0]], y)) != key[1])
     gr3: list[tuple] = []
-    rows = _rows(act)
     after = composites_after(cat)
     for h, row_h in rows.items():
         for g, k in after.get(h, ()):
@@ -176,10 +200,10 @@ def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialActio
 
     return AxiomReport(
         {
-            "GR1": _c1_witnesses(cat, act),
+            "GR1": _c1_witnesses(cat, act, rows),
             "GR2": tuple(gr2),
             "GR3": _pair_major(act, gr3),
-            "GR4": _c4_witnesses(cat, act),
+            "GR4": _c4_witnesses(cat, act, rows),
         }
     )
 

@@ -8,18 +8,23 @@ and every global action receiving the original action factors through it
 uniquely.
 
 On the construction path the one-step relation is only ever unioned, so
-:func:`build_globalization` streams it as bare (src, dst) pairs, one batch
-per defined step, with the identity tags of a point chained rather than
-paired off.  :func:`sim_pairs` builds the same relation as sorted,
-deduplicated :class:`SimPair` records; it feeds only :func:`witness_traces`
-and the oracles.  Two closure routes are kept deliberately separate: a
-union-find (primary) and a naive relational fixpoint (oracle).  They must
-always agree.
+:func:`build_globalization` streams a generating set of it as bare
+(src, dst) pairs: for each defined step h.x = y, the identity instance
+((h, x), (cod h, y)) and the pairs ((g h, x), (g, y)) whose g.y is
+undefined, with the identity tags of a point chained rather than paired
+off.  A pair with g.y = z defined is left out because C3 makes
+(g h).x = z, so the identity instances of (g h, x) and (g, y) already join
+both ends to an identity tag of z.  :func:`sim_pairs` builds the full
+relation as sorted, deduplicated :class:`SimPair` records; it feeds only
+:func:`witness_traces` and the oracles.  Two closure routes are kept
+deliberately separate: a union-find (primary) and a naive relational
+fixpoint (oracle).  They must always agree.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
@@ -96,7 +101,7 @@ def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
 
     Sorted and deduplicated, with clause "ii" listing every ordered pair of
     identity tags.  Only :func:`witness_traces` and the oracles use it;
-    :func:`build_globalization` unions a lean stream of the same relation.
+    :func:`build_globalization` unions a generating subset of it.
     """
     t = act.table
     out: set[SimPair] = set()
@@ -125,18 +130,35 @@ Partition = tuple[tuple[El, ...], ...]
 def _one_step(
     cat: Category, act: PartialAction, after: Mapping[str, list[tuple[str, str]]]
 ) -> Iterator[tuple[El, El]]:
-    """The one-step relation as bare (src, dst) pairs, for the closure only.
+    """A generating set of the one-step relation, as bare (src, dst) pairs.
 
-    Each defined step (h, x) -> y relates (g h, x) to (g, y) for every g
-    composable after h; a point's identity tags are chained.  Reflexive and
-    repeated pairs are not filtered, since unioning them changes nothing.
+    Each defined step (h, x) -> y gives its identity instance
+    ((h, x), (cod h, y)), and ((g h, x), (g, y)) for each g composable after
+    h with g.y undefined; a point's identity tags are chained.  The pairs
+    left out are implied: when g.y = z is defined, C3 (which
+    :func:`build_xbar` requires) makes (g h).x = z, and the identity
+    instances of the steps (g h, x) and (g, y) join both ends to an identity
+    tag of z.  This relies on cod(h) h = h, which ``Category.make``
+    guarantees.  Reflexive and repeated pairs are not filtered, since
+    unioning them changes nothing.
     """
     t = act.table
+    cod, comp = cat.cod, cat.comp
+    # (object c, point y) -> the g out of c with g.y undefined
+    missing: dict[El, tuple[str, ...]] = {}
     for (h, x), y in t.items():
-        if (cat.cod[h], y) not in t:
+        tag = (cod[h], y)
+        if tag not in t:
             raise RuntimeError("one-step relation left the expanded carrier")
-        for g, k in after.get(h, ()):
-            yield (k, x), (g, y)
+        yield (h, x), tag
+        gs = missing.get(tag)
+        if gs is None:
+            gs = missing[tag] = tuple(g for g, _ in after.get(tag[0], ()) if (g, y) not in t)
+        for g in gs:
+            # dom g = cod h, so g h is defined exactly when after[h] lists g.
+            k = comp.get((g, h))
+            if k is not None:
+                yield (k, x), (g, y)
     for x in act.carrier:
         tags = [(e, x) for e in cat.objects if (e, x) in t]
         yield from zip(tags, tags[1:])
@@ -266,7 +288,9 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     Requires C1-C3.  The induced action on classes is computed in one pass
     over class members: a member (h, x) contributes g.[h, x] = [g h, x] for
     every g composable with h, and every contribution for the same class must
-    land in the same class.  The audit then checks that the induced action is
+    land in the same class.  Each member's contributions are compared as one
+    vector over its g in sorted order with those of the first member over
+    the same cod.  The audit then checks that the induced action is
     global, that the embedding is injective, and that every class is reached
     from the embedded carrier; a failure raises ``RuntimeError``.
     """
@@ -278,14 +302,39 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
         for el in cls:
             class_of[el] = cls[0]
 
+    # Per h: its composable g in sorted order (one shared tuple per g set),
+    # the composites g h in that order, and the positions of after[h]'s g in it.
+    lanes: dict[str, tuple] = {}
+    shapes: dict[tuple, tuple] = {}
+    for h in cat.morphisms:
+        pairs = after.get(h, [])
+        ranked = sorted(pairs)
+        gs = tuple(g for g, _ in ranked)
+        at = {g: i for i, g in enumerate(gs)}
+        lanes[h] = (
+            shapes.setdefault(gs, gs),
+            [k for _, k in ranked],
+            [g for g, _ in pairs],
+            [at[g] for g, _ in pairs],
+        )
+    cod = cat.cod
     action: dict[tuple[str, El], El] = {}
     for cls in classes:
         rep = cls[0]
+        # The first member over each cod sets g.[rep] for its g, in after[h]
+        # order; every later member over that cod must give the same vector.
+        first: dict[str, tuple] = {}
         for (h, x) in cls:
-            for g, k in after.get(h, ()):
-                dst = class_of[(k, x)]
-                if action.setdefault((g, rep), dst) != dst:
-                    raise RuntimeError(f"action of {g} on {rep} is not class-invariant")
+            gs, ks, order, pos = lanes[h]
+            vec = list(map(class_of.__getitem__, zip(ks, repeat(x))))
+            ref_gs, ref = first.setdefault(cod[h], (gs, vec))
+            if ref is vec:
+                action.update(zip(zip(order, repeat(rep)), map(vec.__getitem__, pos)))
+            elif ref_gs is not gs or ref != vec:
+                for g, k in after.get(h, ()):
+                    dst = class_of[(k, x)]
+                    if action.setdefault((g, rep), dst) != dst:
+                        raise RuntimeError(f"action of {g} on {rep} is not class-invariant")
 
     embed: dict[Pt, El] = {}
     for x in act.carrier:
@@ -322,19 +371,17 @@ class GFunctionReport:
 def check_g_function(f: Mapping, source: PartialAction, target: PartialAction) -> GFunctionReport:
     """Check equivariance: every defined source step maps to a defined target step.
 
-    Witnesses are (morphism, point) pairs where the image step is undefined
-    or lands on the wrong point.  Raises ``ValueError`` if ``f`` is not a
-    total map from the source carrier into the target carrier.
+    Witnesses are the sorted (morphism, point) pairs where the image step is
+    undefined or lands on the wrong point.  Raises ``ValueError`` if ``f`` is
+    not a total map from the source carrier into the target carrier.
     """
     if set(f) != set(source.carrier):
         raise ValueError("map is not total on the source carrier")
     if not set(f.values()) <= set(target.carrier):
         raise ValueError("map leaves the target carrier")
-    bad = []
-    for (g, x), y in sorted(source.table.items()):
-        if target.table.get((g, f[x])) != f[y]:
-            bad.append((g, x))
-    return GFunctionReport(tuple(bad))
+    tt = target.table
+    bad = [key for key, y in source.table.items() if tt.get((key[0], f[key[1]])) != f[y]]
+    return GFunctionReport(tuple(sorted(bad)))
 
 
 @dataclass(frozen=True)
@@ -483,7 +530,8 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     F(g m)(x).  Yields each solution as a table keyed by (morphism, point).
     """
     non_id = sorted(m for m in cat.morphisms if m not in cat.objects)
-    F: dict[str, dict] = {e: {z: z for z in sets[e]} for e in cat.objects}
+    # Identity rows in carrier order (points sorted by str), whatever the hash seed.
+    F: dict[str, dict] = {e: {z: z for z in sorted(sets[e], key=str)} for e in cat.objects}
     F.update((m, {}) for m in non_id)
     as_h: dict[str, list] = {}
     as_g: dict[str, list] = {}

@@ -1,5 +1,6 @@
 """Tests for partial-action presentations and axiom checkers."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,14 @@ from pcat import (
 
 from pcat.category import composable_pairs
 from pcat.fixtures import FIXTURES
-from pcat.oracle import connected_groupoid, random_groupoid, random_points, random_table
+from pcat.oracle import (
+    connected_groupoid,
+    random_category,
+    random_groupoid,
+    random_points,
+    random_table,
+    random_valid_action,
+)
 
 from conftest import fixture_text
 
@@ -314,16 +322,23 @@ def _c3_gr3_pair_major(cat, act):
     return tuple(c3), tuple(gr3)
 
 
-def _redirected_s3_restriction(seed):
-    """A restriction of the regular action of the 3-object S3 groupoid with
-    some non-identity steps sent to another point over the same object."""
-    rng = random.Random(seed)
+def s3_restriction(rng):
+    """The regular action of the 3-object S3 groupoid restricted to 40 of its
+    54 points, drawn from ``rng``: a C1-C3 action that fails C4."""
     cat = connected_groupoid(3, "s3")
     kept = set(rng.sample(cat.morphisms, 40))
     table = {}
     for (g, m), gm in cat.comp.items():
         if m in kept and gm in kept:
             table[(g, m)] = gm
+    return cat, kept, table
+
+
+def _redirected_s3_restriction(seed):
+    """A restriction of the regular action of the 3-object S3 groupoid with
+    some non-identity steps sent to another point over the same object."""
+    rng = random.Random(seed)
+    cat, kept, table = s3_restriction(rng)
     steps = sorted(key for key in table if key[0] not in cat.objects)
     for key in rng.sample(steps, 8):
         over = sorted(p for p in kept if cat.cod[p] == cat.cod[table[key]] and p != table[key])
@@ -349,3 +364,135 @@ def test_c3_and_gr3_witnesses_come_in_pair_major_order():
     assert multi > 100
     for cat, act in cases[-3:]:
         assert _c3_gr3_pair_major(cat, act)[0]
+
+
+# Reference copies of the entry-by-entry reference check, the C1 and C4
+# witness loops and the C2 expression that the axiom checkers used before
+# they read these off the morphism rows; kept verbatim apart from names.
+
+
+def _ref_check_refs(cat, act) -> None:
+    mors = set(cat.morphisms)
+    pts = set(act.carrier)
+    for (g, x), y in act.table.items():
+        if g not in mors:
+            raise ValueError(f"action references unknown morphism {g!r}")
+        if x not in pts or y not in pts:
+            raise ValueError(f"action entry ({g!r}, {x!r}) -> {y!r} leaves the carrier")
+
+
+def _ref_c1_witnesses(cat, act):
+    t = act.table
+    out = []
+    for x in act.carrier:
+        if not any((e, x) in t for e in cat.objects):
+            out.append((x,))
+        for e in cat.objects:
+            if (e, x) in t and t[(e, x)] != x:
+                out.append((e, x))
+    return tuple(out)
+
+
+def _ref_c4_witnesses(cat, act):
+    t = act.table
+    return tuple(
+        (g, x)
+        for g in cat.morphisms
+        for x in act.carrier
+        if (cat.dom[g], x) in t and (g, x) not in t
+    )
+
+
+def _ref_report(cat, act, wit=None):
+    """The C1-C4 report, or the GR1-GR4 report when ``wit`` is given."""
+    _ref_check_refs(cat, act)
+    t = act.table
+    c3, gr3 = _c3_gr3_pair_major(cat, act)
+    c1, c4 = _ref_c1_witnesses(cat, act), _ref_c4_witnesses(cat, act)
+    if wit is None:
+        c2 = sorted(key for key in t if (cat.dom[key[0]], key[1]) not in t)
+        return [("C1", c1), ("C2", tuple(c2)), ("C3", c3), ("C4", c4)]
+    gr2 = sorted(key for key, y in t.items() if t.get((wit.inverse[key[0]], y)) != key[1])
+    return [("GR1", c1), ("GR2", tuple(gr2)), ("GR3", gr3), ("GR4", c4)]
+
+
+def _outcome(check, *args):
+    try:
+        return list(check(*args).witnesses.items())
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _ref_outcome(*args):
+    try:
+        return _ref_report(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_row_derived_witnesses_match_the_reference_loops():
+    cases = [make() for make in FIXTURES.values()]
+    rng = random.Random(21)
+    while len(cases) < len(FIXTURES) + 2000:
+        cat = random_category(rng)
+        if len(cases) % 2:
+            act = random_table(rng, cat, random_points(rng), rng.uniform(0.1, 0.95))
+            if len(cases) % 4 == 1:
+                # Rows then appear out of morphism order, points out of carrier order.
+                items = list(act.table.items())
+                rng.shuffle(items)
+                act = PartialAction(act.carrier, dict(items))
+            cases.append((cat, act))
+        else:
+            act = random_valid_action(rng, cat, random_points(rng), rng.uniform(0.15, 0.8))
+            if act is not None:
+                cases.append((cat, act))
+    failing = {"C1": 0, "C2": 0, "C4": 0, "GR1": 0, "GR4": 0}
+    for cat, act in cases:
+        ref = _ref_report(cat, act)
+        assert list(check_category_axioms(cat, act).witnesses.items()) == ref
+        failing["C1"] += len(ref[0][1]) > 1 and len({len(w) for w in ref[0][1]}) > 1
+        failing["C2"] += len(ref[1][1]) > 1
+        failing["C4"] += len({w[0] for w in ref[3][1]}) > 1
+        wit = is_groupoid(cat)
+        if wit:
+            ref = _ref_report(cat, act, wit)
+            assert list(check_groupoid_axioms(cat, wit, act).witnesses.items()) == ref
+            failing["GR1"] += len(ref[0][1]) > 1
+            failing["GR4"] += len(ref[3][1]) > 1
+    # The cases order many witnesses, and mix (x,) with (e, x) in C1.
+    assert min(failing.values()) > 50, failing
+    # A carrier listing points twice repeats their C1 and C4 witnesses.
+    cat, act = FIXTURES["iso_fixed"]()
+    doubled = act.carrier + act.carrier[:2]
+    no_g = {k: v for k, v in act.table.items() if k[0] != "g"}
+    for table in (no_g, {**act.table, ("e", "1"): "2"}):
+        twice = PartialAction(doubled, table)
+        rep = check_category_axioms(cat, twice).witnesses
+        assert rep["C1"] == _ref_c1_witnesses(cat, twice)
+        assert rep["C4"] == _ref_c4_witnesses(cat, twice)
+        assert len(rep["C1"] + rep["C4"]) > len(set(rep["C1"] + rep["C4"]))
+
+
+def test_row_derived_reference_errors_match_the_reference_loops():
+    cat, act = FIXTURES["iso_fixed"]()
+    wit = is_groupoid(cat)
+    hostile = [
+        (("e", "3"), "3"),
+        (("g", "1"), "9"),
+        (("f", "1"), "1"),
+        (("zzz", "1"), "1"),
+        (("e", "7"), "7"),
+    ]
+    raised = set()
+    for perm in itertools.permutations(hostile):
+        bad = PartialAction(act.carrier, {**dict(perm), **act.table})
+        expected = _ref_outcome(cat, bad)
+        assert _outcome(check_category_axioms, cat, bad) == expected
+        assert _outcome(check_groupoid_axioms, cat, wit, bad) == _ref_outcome(cat, bad, wit)
+        raised.add(expected)
+    assert raised == {
+        ("ValueError", "action entry ('g', '1') -> '9' leaves the carrier"),
+        ("ValueError", "action references unknown morphism 'zzz'"),
+        ("ValueError", "action entry ('e', '7') -> '7' leaves the carrier"),
+    }

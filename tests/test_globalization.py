@@ -1,5 +1,6 @@
 """Tests for the quotient construction, mediating maps, and receiver enumeration."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -28,6 +29,8 @@ from pcat import (
     parse,
 )
 from pcat import globalization
+from pcat.action import composites_after
+from pcat.category import Category
 from pcat.fixtures import FIXTURES, arrow_category
 from pcat.globalization import (
     _canonical_key,
@@ -47,6 +50,7 @@ from pcat.oracle import (
 
 import reference_enumerator as reference
 from conftest import FIXTURE_DIR, REPO, fixture_text
+from test_action import s3_restriction
 
 STEMS = ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift")
 
@@ -162,15 +166,24 @@ def test_quotient_actions_are_global():
             assert check_groupoid_axioms(cat, wit, quotient).all_pass, stem
 
 
-def test_construction_closure_matches_naive_closure_of_sim_pairs():
-    cases = [make() for make in FIXTURES.values()]
-    rng = random.Random(11)
-    while len(cases) < len(FIXTURES) + 200:
+def _globalizable_cases(seed, count):
+    """Fixtures, ``count`` seeded random C1-C3 actions, and S3 restrictions."""
+    cases = _fixture_actions() + [make() for make in FIXTURES.values()]
+    stop = len(cases) + count
+    rng = random.Random(seed)
+    while len(cases) < stop:
         cat = random_category(rng)
         act = random_valid_action(rng, cat, random_points(rng), rng.uniform(0.15, 0.8))
         if act is not None:
             cases.append((cat, act))
-    for cat, act in cases:
+    for s in range(3):
+        cat, kept, table = s3_restriction(random.Random(s))
+        cases.append((cat, PartialAction.make(kept, table)))
+    return cases
+
+
+def test_construction_closure_matches_naive_closure_of_sim_pairs():
+    for cat, act in _globalizable_cases(11, 500):
         glob = build_globalization(cat, act)
         assert glob.classes == naive_closure(glob.xbar, sim_pairs(cat, act, glob.xbar))
 
@@ -256,9 +269,11 @@ def test_check_g_function_witnesses():
     cat, act = load("arrow_small")
     target = parse(fixture_text("arrow_small_target"))
     squash = {"1": "e__1", "2": "e__1", "3": "f__4"}
-    rep = check_g_function(squash, act, target.action)
-    assert not rep.ok
-    assert set(rep.witnesses) == {("f", "2"), ("g", "2")}
+    # Sorted whatever the order of the source table.
+    for table in (act.table, dict(reversed(act.table.items()))):
+        rep = check_g_function(squash, PartialAction(act.carrier, table), target.action)
+        assert not rep.ok
+        assert rep.witnesses == (("f", "2"), ("g", "2"))
 
 
 def test_mediating_frozen_map_into_target_fixture():
@@ -635,3 +650,142 @@ def test_mediation_between_quotients_is_bijective():
         k = mediating(glob, relabeled, j)
         assert len(set(k.values())) == len(k) == len(glob.classes)
         assert set(k.values()) == set(relabeled.carrier)
+
+
+def _reference_quotient_action(cat, classes, class_of):
+    """The quotient action as the member-by-member loop built it before the
+    class-invariance audit compared whole vectors; kept verbatim."""
+    after = composites_after(cat)
+    action = {}
+    for cls in classes:
+        rep = cls[0]
+        for (h, x) in cls:
+            for g, k in after.get(h, ()):
+                dst = class_of[(k, x)]
+                if action.setdefault((g, rep), dst) != dst:
+                    raise RuntimeError(f"action of {g} on {rep} is not class-invariant")
+    return action
+
+
+def test_one_step_streams_only_pairs_c3_does_not_imply():
+    cat, kept, table = s3_restriction(random.Random(0))
+    act = PartialAction.make(kept, table)
+    t = act.table
+    # Counted from the table and the composition table alone: one identity
+    # instance per step, one pair per composable g with g.y undefined, and
+    # one link between consecutive identity tags of a point.
+    composable = [(g, h) for (g, h) in cat.comp if cat.dom[g] == cat.cod[h]]
+    full_pairs = open_pairs = 0
+    for (h, x), y in t.items():
+        for g, h2 in composable:
+            if h2 == h:
+                full_pairs += 1
+                open_pairs += (g, y) not in t
+    links = sum(max(sum((e, x) in t for e in cat.objects) - 1, 0) for x in act.carrier)
+    pairs = list(globalization._one_step(cat, act, composites_after(cat)))
+    assert len(pairs) == len(t) + open_pairs + links
+    assert len(pairs) * 3 < full_pairs + links
+    # Every streamed pair is reflexive or a generating pair of the relation.
+    sim = {(p.src, p.dst) for p in sim_pairs(cat, act, build_xbar(cat, act)).pairs}
+    assert {(a, b) for a, b in pairs if a != b} <= sim
+
+
+def test_quotient_action_matches_the_reference_loop_in_insertion_order(monkeypatch):
+    cases = _globalizable_cases(32, 300)
+    # A category missing one composite: members over the same cod then have
+    # different sets of composable g, which the audit must still handle.
+    cat, act = _chain_scenario()
+    comp = {key: k for key, k in cat.comp.items() if key != ("q", "p")}
+    cases.append((Category(cat.objects, cat.morphisms, cat.dom, cat.cod, comp), act))
+    real_check = globalization.check_category_axioms
+    for cat, act in cases:
+        # The last axiom check of a build audits the quotient action.
+        audited = []
+        spy = lambda cat, act: audited.append(act) or real_check(cat, act)
+        monkeypatch.setattr(globalization, "check_category_axioms", spy)
+        try:
+            build_globalization(cat, act)
+        except RuntimeError as exc:
+            assert str(exc).startswith("induced action is not global"), exc
+        monkeypatch.setattr(globalization, "check_category_axioms", real_check)
+        classes = equiv_closure(build_xbar(cat, act), sim_pairs(cat, act, build_xbar(cat, act)))
+        ref = _reference_quotient_action(cat, classes, {el: c[0] for c in classes for el in c})
+        assert list(audited[-1].table.items()) == list(ref.items())
+
+
+def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch):
+    cases = [make() for make in FIXTURES.values()]
+    cases += [_chain_scenario(), _z4_swap()]
+    for s in range(3):
+        cat, kept, table = s3_restriction(random.Random(s))
+        cases.append((cat, PartialAction.make(kept, table)))
+    closure = globalization.equiv_closure
+    messages = set()
+    for cat, act in cases:
+        classes = build_globalization(cat, act).classes
+        for i, j in itertools.combinations(range(min(len(classes), 12)), 2):
+            merged = [c for n, c in enumerate(classes) if n not in (i, j)]
+            merged = tuple(sorted(merged + [tuple(sorted(classes[i] + classes[j]))]))
+            class_of = {el: c[0] for c in merged for el in c}
+            try:
+                _reference_quotient_action(cat, merged, class_of)
+            except RuntimeError as exc:
+                expected = str(exc)
+            else:
+                continue
+            monkeypatch.setattr(globalization, "equiv_closure", lambda xbar, sim: merged)
+            with pytest.raises(RuntimeError) as info:
+                build_globalization(cat, act)
+            monkeypatch.setattr(globalization, "equiv_closure", closure)
+            assert str(info.value) == expected
+            messages.add(expected)
+    assert len(messages) > 30
+
+
+def test_receiver_tables_do_not_depend_on_the_hash_seed():
+    script = textwrap.dedent(
+        """
+        from pcat.fixtures import FIXTURES
+        from pcat.globalization import enumerate_globalizations
+        for name, make in FIXTURES.items():
+            for target, j in enumerate_globalizations(*make(), 5):
+                print(name, list(target.table.items()), list(j.items()))
+        """
+    )
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.splitlines())
+    # Reported by line number: a diff of the whole output is slow to build.
+    differ = [i for i, (a, b) in enumerate(zip(*outs)) if a != b]
+    assert not differ, f"{len(differ)} receivers differ, first at line {differ[0]}"
+    assert len(outs[0]) == len(outs[1]) > 2000
+
+
+def test_audit_compares_members_over_different_sets_of_composable_g(monkeypatch):
+    # A composition table missing (g1, h1) and (g2, h) for every other
+    # non-identity h over cod o0 gives those members composable sets of equal
+    # size but different g.  Closed into one class, all members give the same
+    # vector, yet each set must still add its own g.[rep] as the loop did.
+    cat, kept, table = s3_restriction(random.Random(0))
+    act = PartialAction.make(kept, table)
+    hs = sorted(h for h in cat.morphisms if cat.cod[h] == "o0" and h not in cat.objects)
+    g1, g2 = sorted(g for g in cat.morphisms if cat.dom[g] == "o0" and g not in cat.objects)[:2]
+    dropped = {(g1, hs[0])} | {(g2, h) for h in hs[1:]}
+    comp = {key: k for key, k in cat.comp.items() if key not in dropped}
+    cat = Category(cat.objects, cat.morphisms, cat.dom, cat.cod, comp)
+    one = (tuple(build_xbar(cat, act).elements),)
+    monkeypatch.setattr(globalization, "equiv_closure", lambda xbar, sim: one)
+    real_check = globalization.check_category_axioms
+    audited = []
+    spy = lambda cat, act: audited.append(act) or real_check(cat, act)
+    monkeypatch.setattr(globalization, "check_category_axioms", spy)
+    with pytest.raises(RuntimeError):
+        build_globalization(cat, act)
+    ref = _reference_quotient_action(cat, one, {el: one[0][0] for el in one[0]})
+    assert list(audited[-1].table.items()) == list(ref.items())
