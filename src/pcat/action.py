@@ -23,11 +23,16 @@ class PartialAction:
     """A partial action table over an ordered carrier of points.
 
     ``table[(g, x)] = y`` means the morphism ``g`` sends ``x`` to ``y``; pairs
-    absent from the table are undefined.  No axiom is assumed to hold.
+    absent from the table are undefined.  No axiom is assumed to hold, but a
+    point listed twice in the carrier raises ``ValueError``.
     """
 
     carrier: tuple[Pt, ...]
     table: Mapping[tuple[str, Pt], Pt]
+
+    def __post_init__(self):
+        if len(set(self.carrier)) != len(self.carrier):
+            raise ValueError("carrier lists a point twice")
 
     @staticmethod
     def make(carrier, table) -> "PartialAction":
@@ -206,6 +211,16 @@ def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialActio
             "GR4": _c4_witnesses(cat, act, rows),
         }
     )
+
+
+def groupoid_report(c: AxiomReport, wit: GroupoidWitness, act: PartialAction) -> AxiomReport:
+    """GR1-GR4 from the C1-C4 report ``c`` of the same action: GR1 is C1,
+    GR4 is C4, GR3 the C3 witnesses (g, h, x) with h.x in dom g; only GR2
+    walks the table.  :func:`check_groupoid_axioms` is the independent route."""
+    t, w = act.table, c.witnesses
+    gr2 = sorted(key for key, y in t.items() if t.get((wit.inverse[key[0]], y)) != key[1])
+    gr3 = tuple(v for v in w["C3"] if (v[0], t[v[1], v[2]]) in t)
+    return AxiomReport({"GR1": w["C1"], "GR2": tuple(gr2), "GR3": gr3, "GR4": w["C4"]})
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ Values are immutable after construction; all operations here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 
@@ -16,7 +17,8 @@ from typing import Iterable, Mapping, Optional
 class Category:
     """A finite category given by identifier sets and explicit structure maps.
 
-    Construction performs no law checking; see :func:`validate_category`.
+    Construction performs no law checking; ``validation`` caches the report
+    of :func:`validate_category`.
     """
 
     objects: tuple[str, ...]
@@ -58,14 +60,10 @@ class Category:
             table[(g, h)] = k
         return Category(objs, mors, dom, cod, table)
 
-    def is_object(self, m: str) -> bool:
-        return m in self.objects
-
-    def identity(self, obj: str) -> str:
-        """The identity morphism of an object is the object itself."""
-        if obj not in self.objects:
-            raise ValueError(f"{obj!r} is not an object")
-        return obj
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The :func:`validate_category` report, computed on first use."""
+        return validate_category(self)
 
 
 @dataclass(frozen=True)
@@ -152,13 +150,14 @@ def validate_category(cat: Category) -> ValidationReport:
         if c in objs and (c, g) in cat.comp and cat.comp[(c, g)] != g:
             out.append(Violation("identity_law", (c, g), f"{c} after {g} != {g}"))
 
+    into: dict[Optional[str], list[str]] = {}
+    for k in cat.morphisms:
+        into.setdefault(cat.cod.get(k), []).append(k)
     for (g, h) in sorted(pairs):
         gh = cat.comp.get((g, h))
         if gh is None:
             continue
-        for k in cat.morphisms:
-            if cat.cod.get(k) != cat.dom.get(h):
-                continue
+        for k in into.get(cat.dom.get(h), ()):
             hk = cat.comp.get((h, k))
             if hk is None:
                 continue

@@ -11,8 +11,8 @@ import argparse
 import functools
 import sys
 
-from .category import is_groupoid, validate_category
-from .action import check_category_axioms, check_groupoid_axioms
+from .category import is_groupoid
+from .action import check_category_axioms, groupoid_report
 from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize, witness_text
 from .dsl import _axiom_report_json, _validation_json, to_json
 from .globalization import (
@@ -57,7 +57,7 @@ def _read_scenario(path: str) -> Scenario:
 
 def _category_ok(scn: Scenario) -> bool:
     """Validate the scenario's category; on failure the report goes to stderr."""
-    val = validate_category(scn.category)
+    val = scn.category.validation
     if not val.ok:
         sys.stderr.write(serialize(val, "text"))
     return val.ok
@@ -122,13 +122,13 @@ def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> N
 
 def cmd_validate(args) -> int:
     scn = _read_scenario(args.file)
-    val = validate_category(scn.category)
+    val = scn.category.validation
     if not val.ok:
         _emit(val, args.json)
         return 1
     axioms = check_category_axioms(scn.category, scn.action)
     witness = is_groupoid(scn.category)
-    gr = check_groupoid_axioms(scn.category, witness, scn.action) if witness else None
+    gr = groupoid_report(axioms, witness, scn.action) if witness else None
     if args.json:
         payload = {"category": _validation_json(val), "action": _axiom_report_json(axioms)["axioms"]}
         if gr is not None:

@@ -125,6 +125,8 @@ def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
 
 
 Partition = tuple[tuple[El, ...], ...]
+# The C1-C4 report of every quotient action, by the globalization theorem.
+_GLOBAL = AxiomReport({"C1": (), "C2": (), "C3": (), "C4": ()})
 
 
 def _one_step(
@@ -138,9 +140,9 @@ def _one_step(
     left out are implied: when g.y = z is defined, C3 (which
     :func:`build_xbar` requires) makes (g h).x = z, and the identity
     instances of the steps (g h, x) and (g, y) join both ends to an identity
-    tag of z.  This relies on cod(h) h = h, which ``Category.make``
-    guarantees.  Reflexive and repeated pairs are not filtered, since
-    unioning them changes nothing.
+    tag of z.  This relies on cod(h) h = h, which a lawful category
+    guarantees.  No pair is reflexive: identity steps are skipped, and so
+    are pairs with g h = g at a point h fixes; repeats are not filtered.
     """
     t = act.table
     cod, comp = cat.cod, cat.comp
@@ -150,6 +152,8 @@ def _one_step(
         tag = (cod[h], y)
         if tag not in t:
             raise RuntimeError("one-step relation left the expanded carrier")
+        if tag == (h, x):
+            continue
         yield (h, x), tag
         gs = missing.get(tag)
         if gs is None:
@@ -157,7 +161,7 @@ def _one_step(
         for g in gs:
             # dom g = cod h, so g h is defined exactly when after[h] lists g.
             k = comp.get((g, h))
-            if k is not None:
+            if k is not None and (k != g or x != y):
                 yield (k, x), (g, y)
     for x in act.carrier:
         tags = [(e, x) for e in cat.objects if (e, x) in t]
@@ -233,9 +237,9 @@ class Globalization:
     ``classes`` partitions the expanded carrier ``xbar``; ``class_of`` sends
     each element to its class representative (the least member); ``action``
     is keyed by (morphism, representative); ``embed`` realizes the original
-    carrier inside the quotient; ``axioms`` is the C1-C4 report of the
-    quotient action from the self-audit, all passing.  Witness chains are
-    not stored: :func:`witness_traces` rebuilds them on request.
+    carrier inside the quotient; ``axioms`` is the all-pass C1-C4 report
+    that the globalization theorem gives the quotient action.  Witness chains
+    are not stored: :func:`witness_traces` rebuilds them on request.
     """
 
     category: Category
@@ -283,17 +287,21 @@ def witness_traces(glob: Globalization) -> dict[El, tuple]:
 
 
 def build_globalization(cat: Category, act: PartialAction) -> Globalization:
-    """Run the whole construction and audit its defining invariants.
+    """Run the whole construction and audit the invariants its proof rests on.
 
-    Requires C1-C3.  The induced action on classes is computed in one pass
-    over class members: a member (h, x) contributes g.[h, x] = [g h, x] for
-    every g composable with h, and every contribution for the same class must
-    land in the same class.  Each member's contributions are compared as one
-    vector over its g in sorted order with those of the first member over
-    the same cod.  The audit then checks that the induced action is
-    global, that the embedding is injective, and that every class is reached
-    from the embedded carrier; a failure raises ``RuntimeError``.
+    Requires a lawful category (else ``ValueError`` names a violation) and
+    C1-C3.  The induced action g.[h, x] = [g h, x] is computed in one pass
+    over class members; each member's vector over its composable g (the
+    same g for every member over one cod) must equal the first one's over
+    that cod.  The audit checks this class invariance, the injectivity of
+    the embedding and that every class is reached from the embedded
+    carrier; a failure raises ``RuntimeError``.  The theorem then makes the
+    induced action global (C3 is associativity of ``cat.comp``).
     """
+    bad = cat.validation.violations
+    if bad:
+        more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
+        raise ValueError(f"globalization requires a lawful category: {bad[0].detail}{more}")
     xbar = build_xbar(cat, act)
     after = composites_after(cat)
     classes = equiv_closure(xbar, _one_step(cat, act, after))
@@ -302,35 +310,28 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
         for el in cls:
             class_of[el] = cls[0]
 
-    # Per h: its composable g in sorted order (one shared tuple per g set),
-    # the composites g h in that order, and the positions of after[h]'s g in it.
+    # Per h: the composites g h over its composable g in sorted order, the
+    # g of after[h] in its order, and their positions in the sorted order.
     lanes: dict[str, tuple] = {}
-    shapes: dict[tuple, tuple] = {}
     for h in cat.morphisms:
         pairs = after.get(h, [])
         ranked = sorted(pairs)
-        gs = tuple(g for g, _ in ranked)
-        at = {g: i for i, g in enumerate(gs)}
-        lanes[h] = (
-            shapes.setdefault(gs, gs),
-            [k for _, k in ranked],
-            [g for g, _ in pairs],
-            [at[g] for g, _ in pairs],
-        )
+        at = {g: i for i, (g, _) in enumerate(ranked)}
+        lanes[h] = ([k for _, k in ranked], [g for g, _ in pairs], [at[g] for g, _ in pairs])
     cod = cat.cod
     action: dict[tuple[str, El], El] = {}
     for cls in classes:
         rep = cls[0]
         # The first member over each cod sets g.[rep] for its g, in after[h]
         # order; every later member over that cod must give the same vector.
-        first: dict[str, tuple] = {}
+        first: dict[str, list] = {}
         for (h, x) in cls:
-            gs, ks, order, pos = lanes[h]
+            ks, order, pos = lanes[h]
             vec = list(map(class_of.__getitem__, zip(ks, repeat(x))))
-            ref_gs, ref = first.setdefault(cod[h], (gs, vec))
+            ref = first.setdefault(cod[h], vec)
             if ref is vec:
                 action.update(zip(zip(order, repeat(rep)), map(vec.__getitem__, pos)))
-            elif ref_gs is not gs or ref != vec:
+            elif ref != vec:
                 for g, k in after.get(h, ()):
                     dst = class_of[(k, x)]
                     if action.setdefault((g, rep), dst) != dst:
@@ -345,16 +346,13 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
             raise RuntimeError(f"identity tags of {x!r} fall in distinct classes")
         embed[x] = reps.pop()
 
-    induced = check_category_axioms(cat, PartialAction(tuple(c[0] for c in classes), action))
-    if not induced.all_pass:
-        raise RuntimeError(f"induced action is not global: {induced.witnesses}")
     if len(set(embed.values())) != len(embed):
         raise RuntimeError("embedding is not injective")
     for cls in classes:
         g, x = cls[0]
         if action[(g, embed[x])] != cls[0]:
             raise RuntimeError("class unreachable from the embedded carrier")
-    return Globalization(cat, act, xbar, classes, class_of, action, embed, induced)
+    return Globalization(cat, act, xbar, classes, class_of, action, embed, _GLOBAL)
 
 
 @dataclass(frozen=True)
@@ -393,24 +391,6 @@ class InducedReport:
         return not self.witnesses
 
 
-def check_induced(act: PartialAction, glob: Globalization) -> InducedReport:
-    """Check that the quotient action restricted along the embedding is the original.
-
-    A witness (g, y, z) marks a triple where definedness or the value
-    disagrees between g.y in the original and g.embed(y) = embed(z) in the
-    quotient.
-    """
-    bad = []
-    for g in glob.category.morphisms:
-        for y in act.carrier:
-            for z in act.carrier:
-                lhs = glob.action.get((g, glob.embed[y])) == glob.embed[z]
-                rhs = act.table.get((g, y)) == z
-                if lhs != rhs:
-                    bad.append((g, y, z))
-    return InducedReport(tuple(bad))
-
-
 def induces_source(
     cat: Category, source: PartialAction, target: PartialAction, j: Mapping
 ) -> InducedReport:
@@ -441,17 +421,22 @@ def mediating(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El
     """The unique equivariant map out of the quotient extending ``j``.
 
     ``target`` must be a global action over the same category and ``j`` an
-    equivariant map from the original action into it.  The value on a class
-    is the target step of its representative's tag applied to the embedded
-    point; the audit checks equivariance and compatibility with the
-    embedding and raises ``RuntimeError`` if either fails.
+    equivariant map from the original action into it (else ``MediationError``).
     """
-    t_rep = check_category_axioms(glob.category, target)
-    if not t_rep.all_pass:
+    if not check_category_axioms(glob.category, target).all_pass:
         raise MediationError("mediating requires a global target action")
     j_rep = check_g_function(j, glob.source, target)
     if not j_rep.ok:
         raise MediationError(f"j is not equivariant; witnesses {j_rep.witnesses}")
+    return _mediate(glob, target, j)
+
+
+def _mediate(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El, Pt]:
+    """:func:`mediating` for receivers that meet its contract by construction,
+    as those of :func:`enumerate_globalizations` do.  The value on a class is
+    its representative's tag applied to the embedded point; ``RuntimeError``
+    if the map is not equivariant or does not extend ``j``.
+    """
     k: dict[El, Pt] = {}
     for cls in glob.classes:
         g, x = cls[0]

@@ -21,6 +21,7 @@ from pcat import (
     to_triple,
 )
 
+from pcat.action import groupoid_report
 from pcat.category import composable_pairs
 from pcat.fixtures import FIXTURES
 from pcat.oracle import (
@@ -322,15 +323,19 @@ def _c3_gr3_pair_major(cat, act):
     return tuple(c3), tuple(gr3)
 
 
-def s3_restriction(rng):
-    """The regular action of the 3-object S3 groupoid restricted to 40 of its
-    54 points, drawn from ``rng``: a C1-C3 action that fails C4."""
+def s3_restriction(rng, copies=1, keep=40):
+    """Disjoint copies of the regular action of the 3-object S3 groupoid,
+    each restricted to ``keep`` of its 54 points drawn from ``rng``: a C1-C3
+    action that fails C4.  Copy c > 0 names point m as ``f"{m}~{c}"``."""
     cat = connected_groupoid(3, "s3")
-    kept = set(rng.sample(cat.morphisms, 40))
-    table = {}
-    for (g, m), gm in cat.comp.items():
-        if m in kept and gm in kept:
-            table[(g, m)] = gm
+    kept, table = set(), {}
+    for c in range(copies):
+        name = (lambda m: m) if c == 0 else (lambda m, c=c: f"{m}~{c}")
+        sample = {name(m) for m in rng.sample(cat.morphisms, keep)}
+        kept |= sample
+        for (g, m), gm in cat.comp.items():
+            if name(m) in sample and name(gm) in sample:
+                table[(g, name(m))] = name(gm)
     return cat, kept, table
 
 
@@ -360,6 +365,8 @@ def test_c3_and_gr3_witnesses_come_in_pair_major_order():
         wit = is_groupoid(cat)
         if wit:
             assert check_groupoid_axioms(cat, wit, act).witnesses["GR3"] == gr3
+            derived = groupoid_report(check_category_axioms(cat, act), wit, act)
+            assert derived.witnesses["GR3"] == gr3
         multi += len({w[:2] for w in c3}) > 1 and len({w[2] for w in c3}) > 1
     assert multi > 100
     for cat, act in cases[-3:]:
@@ -458,20 +465,23 @@ def test_row_derived_witnesses_match_the_reference_loops():
         if wit:
             ref = _ref_report(cat, act, wit)
             assert list(check_groupoid_axioms(cat, wit, act).witnesses.items()) == ref
+            derived = groupoid_report(check_category_axioms(cat, act), wit, act)
+            assert list(derived.witnesses.items()) == ref
             failing["GR1"] += len(ref[0][1]) > 1
             failing["GR4"] += len(ref[3][1]) > 1
     # The cases order many witnesses, and mix (x,) with (e, x) in C1.
     assert min(failing.values()) > 50, failing
-    # A carrier listing points twice repeats their C1 and C4 witnesses.
+
+
+def test_partial_action_rejects_a_carrier_listing_a_point_twice():
+    # On such a carrier the carrier walks (C1, C4) would list a point's
+    # witnesses twice and the row walks (C3, GR3) once.
     cat, act = FIXTURES["iso_fixed"]()
-    doubled = act.carrier + act.carrier[:2]
     no_g = {k: v for k, v in act.table.items() if k[0] != "g"}
-    for table in (no_g, {**act.table, ("e", "1"): "2"}):
-        twice = PartialAction(doubled, table)
-        rep = check_category_axioms(cat, twice).witnesses
-        assert rep["C1"] == _ref_c1_witnesses(cat, twice)
-        assert rep["C4"] == _ref_c4_witnesses(cat, twice)
-        assert len(rep["C1"] + rep["C4"]) > len(set(rep["C1"] + rep["C4"]))
+    with pytest.raises(ValueError, match="carrier lists a point twice"):
+        PartialAction(("1", "2", "3", "1", "2"), no_g)
+    assert act.carrier == ("1", "2", "3")
+    assert PartialAction.make(("1", "2", "3", "1", "2"), no_g).carrier == act.carrier
 
 
 def test_row_derived_reference_errors_match_the_reference_loops():

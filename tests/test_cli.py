@@ -448,38 +448,56 @@ def test_oracle_scenario_suite_runs_clean():
     assert lines[-1].split()[1] == "scenario"
 
 
-def _record_axiom_checks(monkeypatch) -> list:
-    """Wrap ``check_category_axioms`` in every ``pcat`` module that binds it."""
+def _record_checks(monkeypatch) -> dict:
+    """Wrap the category check and both axiom checkers in every ``pcat``
+    module that binds them; each call is recorded under the checker's name."""
     import pcat.action
+    import pcat.category
     import pcat.cli  # noqa: F401  (bind its names before wrapping)
 
-    orig = pcat.action.check_category_axioms
-    calls = []
+    calls = {}
+    for owner, name in (
+        (pcat.category, "validate_category"),
+        (pcat.action, "check_category_axioms"),
+        (pcat.action, "check_groupoid_axioms"),
+    ):
+        orig = getattr(owner, name)
+        seen = calls[name] = []
 
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
+        def recorded(*args, _orig=orig, _seen=seen, **kwargs):
+            _seen.append(args)
+            return _orig(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "pcat" or name.startswith("pcat."):
-            for key, value in list(vars(module).items()):
-                if value is orig:
-                    monkeypatch.setattr(module, key, recorded)
+        for modname, module in list(sys.modules.items()):
+            if modname == "pcat" or modname.startswith("pcat."):
+                for key, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, key, recorded)
     return calls
 
 
 def test_each_command_checks_the_axioms_once_per_action(monkeypatch, tmp_path):
-    calls = _record_axiom_checks(monkeypatch)
+    # The quotient's C1-C4 report comes from the globalization theorem, and
+    # validate derives GR1-GR4 from C1-C4, so each check below runs on user
+    # input only: the category once, and the axioms once per action.
+    calls = _record_checks(monkeypatch)
     target_out = str(tmp_path / "quotient.pcat")
     expected = [(["validate", fx(stem)], 1) for stem in STEMS]
     for stem in STEMS:
-        # the source, then the quotient in the self-audit
-        expected.append((["globalize", fx(stem)], 2))
-        expected.append((["globalize", "--json", "--target-out", target_out, fx(stem)], 2))
-    expected.append((["topo", fx("arrow_small_topo")], 2))
+        expected.append((["globalize", fx(stem)], 1))
+        expected.append((["globalize", "--json", "--target-out", target_out, fx(stem)], 1))
+    expected.append((["topo", fx("arrow_small_topo")], 1))
     # the target of a mediation is user input and is checked as well
-    expected.append((["mediate", fx("arrow_small"), "--target", fx("arrow_small_target")], 3))
+    expected.append((["mediate", fx("arrow_small"), "--target", fx("arrow_small_target")], 2))
+    expected.append((["topo", fx("arrow_small_topo"), "--target", fx("arrow_small_target")], 2))
     for argv, want in expected:
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         code, _, _ = run_cli(argv)
-        assert code == 0 and len(calls) == want, (argv, len(calls))
+        got = {name: len(seen) for name, seen in calls.items()}
+        assert code == 0, argv
+        assert got == {
+            "validate_category": 1,
+            "check_category_axioms": want,
+            "check_groupoid_axioms": 0,
+        }, (argv, got)

@@ -19,7 +19,6 @@ from pcat import (
     check_category_axioms,
     check_g_function,
     check_groupoid_axioms,
-    check_induced,
     enumerate_globalizations,
     equiv_closure,
     induces_source,
@@ -30,7 +29,7 @@ from pcat import (
 )
 from pcat import globalization
 from pcat.action import composites_after
-from pcat.category import Category
+from pcat.category import Category, ValidationReport, validate_category
 from pcat.fixtures import FIXTURES, arrow_category
 from pcat.globalization import (
     _canonical_key,
@@ -156,14 +155,29 @@ def test_globalization_frozen_table_for_arrow_small():
     }
 
 
+def _assert_quotient_is_global(cat, act):
+    """The full re-check of what ``build_globalization`` takes from the
+    theorem: its quotient action passes C1-C4 (and GR1-GR4 over a groupoid)."""
+    glob = build_globalization(cat, act)
+    quotient = glob.as_action()
+    assert check_category_axioms(cat, quotient).witnesses == glob.axioms.witnesses
+    assert glob.axioms.all_pass
+    wit = is_groupoid(cat)
+    if wit:
+        assert check_groupoid_axioms(cat, wit, quotient).all_pass
+    return glob
+
+
 def test_quotient_actions_are_global():
-    for stem in STEMS:
-        cat, act = load(stem)
-        quotient = build_globalization(cat, act).as_action()
-        assert check_category_axioms(cat, quotient).all_pass, stem
-        wit = is_groupoid(cat)
-        if wit:
-            assert check_groupoid_axioms(cat, wit, quotient).all_pass, stem
+    for cat, act in _globalizable_cases(17, 400):
+        _assert_quotient_is_global(cat, act)
+
+
+def test_quotient_action_of_a_440_point_s3_restriction_is_global():
+    cat, kept, table = s3_restriction(random.Random(1), copies=10, keep=44)
+    glob = _assert_quotient_is_global(cat, PartialAction.make(kept, table))
+    assert len(glob.source.carrier) == 440
+    assert len(glob.classes) > 440
 
 
 def _globalizable_cases(seed, count):
@@ -244,16 +258,14 @@ def test_embedding_is_equivariant_and_induces_source():
         glob = build_globalization(cat, act)
         quotient = glob.as_action()
         assert check_g_function(dict(glob.embed), act, quotient).ok
-        assert check_induced(act, glob).ok
+        assert induces_source(cat, act, quotient, glob.embed).ok
 
 
-def test_check_induced_flags_a_doctored_embedding():
+def test_induces_source_flags_a_doctored_embedding():
     cat, act = load("arrow_small")
     glob = build_globalization(cat, act)
-    import dataclasses
-
-    doctored = dataclasses.replace(glob, embed={**glob.embed, "2": ("e", "1")})
-    rep = check_induced(act, doctored)
+    doctored = {**glob.embed, "2": ("e", "1")}
+    rep = induces_source(cat, act, glob.as_action(), doctored)
     assert not rep.ok
 
 
@@ -672,45 +684,50 @@ def test_one_step_streams_only_pairs_c3_does_not_imply():
     act = PartialAction.make(kept, table)
     t = act.table
     # Counted from the table and the composition table alone: one identity
-    # instance per step, one pair per composable g with g.y undefined, and
-    # one link between consecutive identity tags of a point.
+    # instance per non-identity step, one pair per composable g with g.y
+    # undefined, and one link between consecutive identity tags of a point.
+    # Identity steps give only reflexive pairs and are not streamed.
     composable = [(g, h) for (g, h) in cat.comp if cat.dom[g] == cat.cod[h]]
-    full_pairs = open_pairs = 0
+    full_pairs = steps = open_pairs = 0
     for (h, x), y in t.items():
+        moving = h not in cat.objects
+        steps += moving
         for g, h2 in composable:
             if h2 == h:
                 full_pairs += 1
-                open_pairs += (g, y) not in t
+                open_pairs += moving and (g, y) not in t
     links = sum(max(sum((e, x) in t for e in cat.objects) - 1, 0) for x in act.carrier)
     pairs = list(globalization._one_step(cat, act, composites_after(cat)))
-    assert len(pairs) == len(t) + open_pairs + links
+    assert len(pairs) == steps + open_pairs + links
     assert len(pairs) * 3 < full_pairs + links
-    # Every streamed pair is reflexive or a generating pair of the relation.
+    # Every streamed pair is a generating pair of the relation.
     sim = {(p.src, p.dst) for p in sim_pairs(cat, act, build_xbar(cat, act)).pairs}
-    assert {(a, b) for a, b in pairs if a != b} <= sim
+    assert set(pairs) <= sim
 
 
-def test_quotient_action_matches_the_reference_loop_in_insertion_order(monkeypatch):
-    cases = _globalizable_cases(32, 300)
-    # A category missing one composite: members over the same cod then have
-    # different sets of composable g, which the audit must still handle.
-    cat, act = _chain_scenario()
-    comp = {key: k for key, k in cat.comp.items() if key != ("q", "p")}
-    cases.append((Category(cat.objects, cat.morphisms, cat.dom, cat.cod, comp), act))
-    real_check = globalization.check_category_axioms
-    for cat, act in cases:
-        # The last axiom check of a build audits the quotient action.
-        audited = []
-        spy = lambda cat, act: audited.append(act) or real_check(cat, act)
-        monkeypatch.setattr(globalization, "check_category_axioms", spy)
-        try:
-            build_globalization(cat, act)
-        except RuntimeError as exc:
-            assert str(exc).startswith("induced action is not global"), exc
-        monkeypatch.setattr(globalization, "check_category_axioms", real_check)
+def test_one_step_stream_has_no_reflexive_pair():
+    # Besides identity steps, a step h.x = x with g h = g and g.x undefined
+    # (an idempotent in a monoid) would give the pair ((g, x), (g, x)).
+    fixed_points = 0
+    for cat, act in _globalizable_cases(5, 500):
+        t = act.table
+        after = composites_after(cat)
+        fixed_points += sum(
+            k == g and (g, x) not in t
+            for (h, x), y in t.items()
+            if h not in cat.objects and x == y
+            for g, k in after.get(h, ())
+        )
+        assert not [a for a, b in globalization._one_step(cat, act, after) if a == b]
+    assert fixed_points > 0
+
+
+def test_quotient_action_matches_the_reference_loop_in_insertion_order():
+    for cat, act in _globalizable_cases(32, 300):
+        glob = build_globalization(cat, act)
         classes = equiv_closure(build_xbar(cat, act), sim_pairs(cat, act, build_xbar(cat, act)))
         ref = _reference_quotient_action(cat, classes, {el: c[0] for c in classes for el in c})
-        assert list(audited[-1].table.items()) == list(ref.items())
+        assert list(glob.action.items()) == list(ref.items())
 
 
 def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch):
@@ -767,25 +784,35 @@ def test_receiver_tables_do_not_depend_on_the_hash_seed():
     assert len(outs[0]) == len(outs[1]) > 2000
 
 
-def test_audit_compares_members_over_different_sets_of_composable_g(monkeypatch):
-    # A composition table missing (g1, h1) and (g2, h) for every other
-    # non-identity h over cod o0 gives those members composable sets of equal
-    # size but different g.  Closed into one class, all members give the same
-    # vector, yet each set must still add its own g.[rep] as the loop did.
+def test_build_globalization_names_the_missing_composite():
+    cat, act = _chain_scenario()
+    comp = {key: k for key, k in cat.comp.items() if key != ("q", "p")}
+    broken = Category(cat.objects, cat.morphisms, cat.dom, cat.cod, comp)
+    with pytest.raises(ValueError) as info:
+        build_globalization(broken, act)
+    assert str(info.value) == (
+        "globalization requires a lawful category: no composite declared for q after p (and 1 more)"
+    )
+    # Unchecked, the same category gives a quotient that is not global,
+    # while the theorem's report would still claim C1-C4.
+    broken.__dict__["validation"] = ValidationReport(())
+    glob = build_globalization(broken, act)
+    assert glob.axioms.all_pass
+    assert not check_category_axioms(broken, glob.as_action()).passed("C4")
+
+
+def test_build_globalization_counts_the_other_violations():
     cat, kept, table = s3_restriction(random.Random(0))
-    act = PartialAction.make(kept, table)
     hs = sorted(h for h in cat.morphisms if cat.cod[h] == "o0" and h not in cat.objects)
     g1, g2 = sorted(g for g in cat.morphisms if cat.dom[g] == "o0" and g not in cat.objects)[:2]
     dropped = {(g1, hs[0])} | {(g2, h) for h in hs[1:]}
     comp = {key: k for key, k in cat.comp.items() if key not in dropped}
     cat = Category(cat.objects, cat.morphisms, cat.dom, cat.cod, comp)
-    one = (tuple(build_xbar(cat, act).elements),)
-    monkeypatch.setattr(globalization, "equiv_closure", lambda xbar, sim: one)
-    real_check = globalization.check_category_axioms
-    audited = []
-    spy = lambda cat, act: audited.append(act) or real_check(cat, act)
-    monkeypatch.setattr(globalization, "check_category_axioms", spy)
-    with pytest.raises(RuntimeError):
-        build_globalization(cat, act)
-    ref = _reference_quotient_action(cat, one, {el: one[0][0] for el in one[0]})
-    assert list(audited[-1].table.items()) == list(ref.items())
+    with pytest.raises(ValueError) as info:
+        build_globalization(cat, PartialAction.make(kept, table))
+    first = validate_category(cat).violations[0]
+    assert first.kind == "missing_comp"
+    n = len(validate_category(cat).violations) - 1
+    assert str(info.value) == (
+        f"globalization requires a lawful category: {first.detail} (and {n} more)"
+    )

@@ -6,14 +6,18 @@ import random
 import pytest
 
 from pcat import (
+    build_globalization,
     check_category_axioms,
+    check_g_function,
     check_groupoid_axioms,
+    enumerate_globalizations,
     is_groupoid,
     parse,
     validate_category,
     validate_topology,
 )
 from pcat.category import composable_pairs
+from pcat.fixtures import FIXTURES
 from pcat.oracle import (
     chain_category,
     connected_groupoid,
@@ -183,6 +187,20 @@ def test_axiom_equivalence_suite_small_run():
 def test_universality_suite_small_run():
     res = suite_universality(max_size=5)
     assert res.ok and res.cases > 0
+
+
+def test_every_receiver_of_the_bound_6_universality_sweep_is_checked_once():
+    # The suites mediate into these receivers without checking the contract
+    # of ``mediating``; it holds by construction, and is checked once here.
+    checked = 0
+    for name, make in FIXTURES.items():
+        cat, act = make()
+        bound = max(min(len(build_globalization(cat, act).classes) + 1, 6), len(act.carrier))
+        for target, j in enumerate_globalizations(cat, act, bound):
+            checked += 1
+            assert check_category_axioms(cat, target).all_pass, name
+            assert check_g_function(j, act, target).ok, name
+    assert checked == 5528
 
 
 def test_groupoid_injectivity_suite_small_run():
