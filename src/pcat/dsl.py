@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .category import Category, ValidationReport
 from .action import AxiomReport, PartialAction
@@ -26,8 +26,9 @@ _TOKEN = re.compile(r"->|[:.=]|[A-Za-z0-9_]+|[^\s]")
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A 1-based source position."""
+
     line: int
     col: int
 

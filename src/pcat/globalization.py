@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 from itertools import repeat
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .category import Category
-from .action import AxiomReport, PartialAction, check_category_axioms, composites_after
+from .action import AxiomReport, PartialAction, c123_hold, check_category_axioms, composites_after
 
 Pt = Any
 El = tuple[str, Pt]
@@ -79,8 +80,8 @@ class SimRelation:
 
 
 def _require_c123(cat: Category, act: PartialAction) -> None:
-    rep = check_category_axioms(cat, act)
-    if not rep.passed("C1", "C2", "C3"):
+    if not c123_hold(cat, act):
+        rep = check_category_axioms(cat, act)
         raise AxiomError("globalization requires C1-C3 to hold", rep)
 
 
@@ -290,13 +291,14 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     """Run the whole construction and audit the invariants its proof rests on.
 
     Requires a lawful category (else ``ValueError`` names a violation) and
-    C1-C3.  The induced action g.[h, x] = [g h, x] is computed in one pass
-    over class members; each member's vector over its composable g (the
-    same g for every member over one cod) must equal the first one's over
-    that cod.  The audit checks this class invariance, the injectivity of
-    the embedding and that every class is reached from the embedded
-    carrier; a failure raises ``RuntimeError``.  The theorem then makes the
-    induced action global (C3 is associativity of ``cat.comp``).
+    C1-C3.  The induced action g.[h, x] = [g h, x] is read one lane at a
+    time: each member (h, x) fetches the classes of its (g h, x) in one
+    call, and that vector must equal the first one's over the same cod (the
+    same g, in a lawful category); a member that differs is re-read g by g.
+    The audit checks this class invariance, the injectivity of the embedding
+    and that every class is reached from the embedded carrier; a failure
+    raises ``RuntimeError``.  The theorem then makes the induced action
+    global (C3 is associativity of ``cat.comp``).
     """
     bad = cat.validation.violations
     if bad:
@@ -305,33 +307,41 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     xbar = build_xbar(cat, act)
     after = composites_after(cat)
     classes = equiv_closure(xbar, _one_step(cat, act, after))
+    # class_of, and per point x a list over morphism index m of the class of
+    # (m, x), with a trailing None so that every fetch below is a tuple.
+    m_index = {m: i for i, m in enumerate(cat.morphisms)}
+    none = [None] * (len(m_index) + 1)
+    class_at = {x: none.copy() for x in act.carrier}
     class_of: dict[El, El] = {}
     for cls in classes:
+        rep = cls[0]
         for el in cls:
-            class_of[el] = cls[0]
+            class_of[el] = rep
+            class_at[el[1]][m_index[el[0]]] = rep
 
-    # Per h: the composites g h over its composable g in sorted order, the
-    # g of after[h] in its order, and their positions in the sorted order.
+    # Per h: the g of after[h] in its order (equal orders share one tuple),
+    # and one fetch of the classes of their composites g h.
+    orders: dict[tuple, tuple] = {}
     lanes: dict[str, tuple] = {}
     for h in cat.morphisms:
-        pairs = after.get(h, [])
-        ranked = sorted(pairs)
-        at = {g: i for i, (g, _) in enumerate(ranked)}
-        lanes[h] = ([k for _, k in ranked], [g for g, _ in pairs], [at[g] for g, _ in pairs])
+        pairs = after.get(h, ())
+        gs = tuple(g for g, _ in pairs)
+        lanes[h] = orders.setdefault(gs, gs), itemgetter(*(m_index[k] for _, k in pairs), len(m_index))
     cod = cat.cod
     action: dict[tuple[str, El], El] = {}
     for cls in classes:
         rep = cls[0]
         # The first member over each cod sets g.[rep] for its g, in after[h]
         # order; every later member over that cod must give the same vector.
-        first: dict[str, list] = {}
+        first: dict[str, tuple] = {}
         for (h, x) in cls:
-            ks, order, pos = lanes[h]
-            vec = list(map(class_of.__getitem__, zip(ks, repeat(x))))
-            ref = first.setdefault(cod[h], vec)
-            if ref is vec:
-                action.update(zip(zip(order, repeat(rep)), map(vec.__getitem__, pos)))
-            elif ref != vec:
+            gs, fetch = lanes[h]
+            vec = fetch(class_at[x])
+            ref = first.get(cod[h])
+            if ref is None:
+                first[cod[h]] = gs, vec
+                action.update(zip(zip(gs, repeat(rep)), vec))
+            elif ref[1] != vec or ref[0] is not gs:
                 for g, k in after.get(h, ()):
                     dst = class_of[(k, x)]
                     if action.setdefault((g, rep), dst) != dst:
@@ -434,8 +444,8 @@ def mediating(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El
 def _mediate(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El, Pt]:
     """:func:`mediating` for receivers that meet its contract by construction,
     as those of :func:`enumerate_globalizations` do.  The value on a class is
-    its representative's tag applied to the embedded point; ``RuntimeError``
-    if the map is not equivariant or does not extend ``j``.
+    its representative's tag applied to the embedded point, so the theorem
+    makes the map equivariant; ``RuntimeError`` if it does not extend ``j``.
     """
     k: dict[El, Pt] = {}
     for cls in glob.classes:
@@ -444,8 +454,6 @@ def _mediate(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El,
         if val is None:
             raise RuntimeError("globality of the target must define this step")
         k[cls[0]] = val
-    if not check_g_function(k, glob.as_action(), target).ok:
-        raise RuntimeError("mediating map is not equivariant")
     if any(k[glob.embed[x]] != j[x] for x in glob.source.carrier):
         raise RuntimeError("mediating map does not extend j")
     return k

@@ -26,6 +26,7 @@ from pcat.category import composable_pairs
 from pcat.fixtures import FIXTURES
 from pcat.oracle import (
     connected_groupoid,
+    group_category,
     random_category,
     random_groupoid,
     random_points,
@@ -437,7 +438,37 @@ def _ref_outcome(*args):
         return ("ValueError", str(exc))
 
 
+def _lane_shapes(rng, cat, act):
+    """Variants of one case in the row shapes a C3 lane treats apart: every
+    row cut to its first entry, one morphism without a row, and integer
+    points (numbered in reverse carrier order)."""
+    first = {}
+    for (g, x), y in act.table.items():
+        first.setdefault(g, ((g, x), y))
+    gone = rng.choice(cat.morphisms)
+    rowless = {key: y for key, y in act.table.items() if key[0] != gone}
+    num = {x: -i for i, x in enumerate(act.carrier)}
+    ints = {(g, num[x]): num[y] for (g, x), y in act.table.items()}
+    return [
+        (cat, PartialAction(act.carrier, dict(first.values()))),
+        (cat, PartialAction(act.carrier, rowless)),
+        (cat, PartialAction.make(num.values(), ints)),
+    ]
+
+
+def _four_cycle():
+    """Z2 whose generator acts as a 4-cycle on integer points, its row listed
+    backwards: the one lane (m1, m1) fails at every point."""
+    cat = group_category("z2")
+    steps = {("m1", x): x % 4 + 1 for x in (4, 3, 2, 1)}
+    return cat, PartialAction((1, 2, 3, 4), {**steps, **{("e", x): x for x in (1, 2, 3, 4)}})
+
+
 def test_row_derived_witnesses_match_the_reference_loops():
+    cycle = _four_cycle()
+    assert check_category_axioms(*cycle).witnesses["C3"] == tuple(
+        ("m1", "m1", x) for x in (1, 2, 3, 4)
+    )
     cases = [make() for make in FIXTURES.values()]
     rng = random.Random(21)
     while len(cases) < len(FIXTURES) + 2000:
@@ -454,10 +485,15 @@ def test_row_derived_witnesses_match_the_reference_loops():
             act = random_valid_action(rng, cat, random_points(rng), rng.uniform(0.15, 0.8))
             if act is not None:
                 cases.append((cat, act))
-    failing = {"C1": 0, "C2": 0, "C4": 0, "GR1": 0, "GR4": 0}
-    for cat, act in cases:
+    shapes = [v for case in cases[len(FIXTURES) :] for v in _lane_shapes(rng, *case)]
+    cases.append(cycle)
+    failing = {"C1": 0, "C2": 0, "C4": 0, "GR1": 0, "GR4": 0, "C3 single": 0, "C3 rowless": 0}
+    for n, (cat, act) in enumerate(cases + shapes):
         ref = _ref_report(cat, act)
         assert list(check_category_axioms(cat, act).witnesses.items()) == ref
+        shape = n - len(cases)
+        if shape >= 0 and shape % 3 < 2:
+            failing[("C3 single", "C3 rowless")[shape % 3]] += bool(ref[2][1])
         failing["C1"] += len(ref[0][1]) > 1 and len({len(w) for w in ref[0][1]}) > 1
         failing["C2"] += len(ref[1][1]) > 1
         failing["C4"] += len({w[0] for w in ref[3][1]}) > 1

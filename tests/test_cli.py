@@ -459,6 +459,7 @@ def _record_checks(monkeypatch) -> dict:
     for owner, name in (
         (pcat.category, "validate_category"),
         (pcat.action, "check_category_axioms"),
+        (pcat.action, "c123_hold"),
         (pcat.action, "check_groupoid_axioms"),
     ):
         orig = getattr(owner, name)
@@ -479,18 +480,19 @@ def _record_checks(monkeypatch) -> dict:
 def test_each_command_checks_the_axioms_once_per_action(monkeypatch, tmp_path):
     # The quotient's C1-C4 report comes from the globalization theorem, and
     # validate derives GR1-GR4 from C1-C4, so each check below runs on user
-    # input only: the category once, and the axioms once per action.
+    # input only: the category once, and the axioms once per action.  The
+    # construction needs only C1-C3 of its source, checked by c123_hold.
     calls = _record_checks(monkeypatch)
     target_out = str(tmp_path / "quotient.pcat")
-    expected = [(["validate", fx(stem)], 1) for stem in STEMS]
+    expected = [(["validate", fx(stem)], 1, 0) for stem in STEMS]
     for stem in STEMS:
-        expected.append((["globalize", fx(stem)], 1))
-        expected.append((["globalize", "--json", "--target-out", target_out, fx(stem)], 1))
-    expected.append((["topo", fx("arrow_small_topo")], 1))
+        expected.append((["globalize", fx(stem)], 0, 1))
+        expected.append((["globalize", "--json", "--target-out", target_out, fx(stem)], 0, 1))
+    expected.append((["topo", fx("arrow_small_topo")], 0, 1))
     # the target of a mediation is user input and is checked as well
-    expected.append((["mediate", fx("arrow_small"), "--target", fx("arrow_small_target")], 2))
-    expected.append((["topo", fx("arrow_small_topo"), "--target", fx("arrow_small_target")], 2))
-    for argv, want in expected:
+    expected.append((["mediate", fx("arrow_small"), "--target", fx("arrow_small_target")], 1, 1))
+    expected.append((["topo", fx("arrow_small_topo"), "--target", fx("arrow_small_target")], 1, 1))
+    for argv, full, c123 in expected:
         for seen in calls.values():
             seen.clear()
         code, _, _ = run_cli(argv)
@@ -498,6 +500,7 @@ def test_each_command_checks_the_axioms_once_per_action(monkeypatch, tmp_path):
         assert code == 0, argv
         assert got == {
             "validate_category": 1,
-            "check_category_axioms": want,
+            "check_category_axioms": full,
+            "c123_hold": c123,
             "check_groupoid_axioms": 0,
         }, (argv, got)

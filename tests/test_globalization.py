@@ -728,6 +728,12 @@ def test_quotient_action_matches_the_reference_loop_in_insertion_order():
         classes = equiv_closure(build_xbar(cat, act), sim_pairs(cat, act, build_xbar(cat, act)))
         ref = _reference_quotient_action(cat, classes, {el: c[0] for c in classes for el in c})
         assert list(glob.action.items()) == list(ref.items())
+    # At scale: one 440-point restriction (11 S3-groupoid copies).
+    cat, kept, table = s3_restriction(random.Random(7), copies=11)
+    glob = build_globalization(cat, PartialAction.make(kept, table))
+    assert len(glob.source.carrier) == 440
+    ref = _reference_quotient_action(cat, glob.classes, glob.class_of)
+    assert list(glob.action.items()) == list(ref.items())
 
 
 def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch):
@@ -757,6 +763,31 @@ def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch
             assert str(info.value) == expected
             messages.add(expected)
     assert len(messages) > 30
+
+
+def test_sabotaged_closure_is_caught_when_vectors_agree_in_another_g_order(monkeypatch):
+    # Z3 with its composites listed so that the g after e come as e, m1, m2
+    # and the g after m1 as m2, e, m1.  In the merged class below, (e, 1)
+    # and (m1, 1) then give equal vectors that are different maps.
+    z3 = group_category("z3")
+    order = [("e", "e"), ("m1", "e"), ("m2", "e"), ("m2", "m1"), ("e", "m1"), ("m1", "m1")]
+    comp = {key: z3.comp[key] for key in order}
+    comp.update(z3.comp)
+    cat = Category(z3.objects, z3.morphisms, z3.dom, z3.cod, comp)
+    act = PartialAction(("1", "2"), {("e", "1"): "1", ("e", "2"): "2"})
+    merged = (
+        (("e", "1"), ("e", "2"), ("m1", "1"), ("m1", "2")),
+        (("m2", "1"), ("m2", "2")),
+    )
+    class_of = {el: c[0] for c in merged for el in c}
+    with pytest.raises(RuntimeError) as expected:
+        _reference_quotient_action(cat, merged, class_of)
+    monkeypatch.setattr(globalization, "equiv_closure", lambda xbar, sim: merged)
+    with pytest.raises(RuntimeError) as info:
+        build_globalization(cat, act)
+    assert str(info.value) == str(expected.value) == (
+        "action of m2 on ('e', '1') is not class-invariant"
+    )
 
 
 def test_receiver_tables_do_not_depend_on_the_hash_seed():

@@ -12,6 +12,7 @@ from pcat import (
     check_groupoid_axioms,
     enumerate_globalizations,
     is_groupoid,
+    mediating,
     parse,
     validate_category,
     validate_topology,
@@ -19,6 +20,7 @@ from pcat import (
 from pcat.category import composable_pairs
 from pcat.fixtures import FIXTURES
 from pcat.oracle import (
+    _relabel_as_extension,
     chain_category,
     connected_groupoid,
     group_axioms_direct,
@@ -201,6 +203,23 @@ def test_every_receiver_of_the_bound_6_universality_sweep_is_checked_once():
             assert check_category_axioms(cat, target).all_pass, name
             assert check_g_function(j, act, target).ok, name
     assert checked == 5528
+
+
+def test_mediating_maps_of_the_bound_6_sweep_and_fixture_quotients_are_equivariant():
+    # ``mediating`` does not audit its result: the theorem makes it
+    # equivariant for a global target and an equivariant j.  Checked here.
+    checked = 0
+    for name, make in FIXTURES.items():
+        cat, act = make()
+        glob = build_globalization(cat, act)
+        quotient = glob.as_action()
+        bound = max(min(len(glob.classes) + 1, 6), len(act.carrier))
+        receivers = enumerate_globalizations(cat, act, bound)
+        receivers.append((_relabel_as_extension(glob), {x: x for x in act.carrier}))
+        for target, j in receivers:
+            checked += 1
+            assert check_g_function(mediating(glob, target, j), quotient, target).ok, name
+    assert checked == 5528 + len(FIXTURES)
 
 
 def test_groupoid_injectivity_suite_small_run():
