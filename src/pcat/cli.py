@@ -151,13 +151,17 @@ def cmd_globalize(args) -> int:
     except AxiomError as exc:
         sys.stderr.write(serialize(exc.report, "text"))
         return 1
-    _emit(glob, args.json)
     if args.target_out:
-        out = globalization_to_scenario(
-            glob, scn.category_name, f"{scn.action_name}_global"
-        )
+        # Written before stdout, so that a target that cannot be named writes neither.
+        try:
+            out = globalization_to_scenario(glob, scn.category_name, f"{scn.action_name}_global")
+        except ValueError as exc:
+            print(f"--target-out: {exc}", file=sys.stderr)
+            return 1
         with open(args.target_out, "w", encoding="utf-8") as fh:
             fh.write(serialize(out, "text"))
+        del out  # not held while the stdout payload is built
+    _emit(glob, args.json)
     return 0
 
 
@@ -284,18 +288,18 @@ def cmd_oracle(args) -> int:
     if not 1 <= args.max_size <= 8:
         print("--max-size must be between 1 and 8", file=sys.stderr)
         return 2
-    scn = None
+    scenario = []
     if args.file:
         scn = _read_scenario(args.file)
         if not _category_ok(scn):
             return 1
-    suites = run_oracle(args.seed, args.max_size)
-    if scn is not None:
+        # Run first, so that a file failing C1-C3 does not wait for the sweep.
         try:
-            suites.append(suite_scenario(scn.category, scn.action, args.max_size))
+            scenario.append(suite_scenario(scn.category, scn.action, args.max_size))
         except AxiomError as exc:
             sys.stderr.write(serialize(exc.report, "text"))
             return 1
+    suites = run_oracle(args.seed, args.max_size) + scenario
     if args.json:
         payload = {
             "suites": [

@@ -585,9 +585,15 @@ def globalization_to_scenario(
 
     Class representatives (g, x) become point identifiers ``g__x`` and the
     embedding becomes the scenario's ``gfun`` block, so the output can be fed
-    back in as a mediation target.
+    back in as a mediation target.  Raises ``ValueError`` when two
+    representatives would get the same identifier.
     """
-    name = {cls[0]: f"{cls[0][0]}__{_pt(cls[0][1])}" for cls in glob.classes}
+    name, owner = {}, {}
+    for rep, *_ in glob.classes:
+        pt = name[rep] = f"{rep[0]}__{_pt(rep[1])}"
+        if owner.setdefault(pt, rep) != rep:
+            first, this = _rep_text(owner[pt]), _rep_text(rep)
+            raise ValueError(f"class representatives {first} and {this} both become point {pt}")
     table = {(g, name[src]): name[dst] for (g, src), dst in glob.action.items()}
     act = PartialAction(tuple(sorted(name[c[0]] for c in glob.classes)), table)
     gfun = {_pt(x): name[r] for x, r in glob.embed.items()}

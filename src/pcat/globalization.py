@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .category import Category
-from .action import AxiomReport, PartialAction, c123_hold, check_category_axioms, composites_after
+from .action import AxiomReport, PartialAction, check_category_axioms, composites_after
 
 Pt = Any
 El = tuple[str, Pt]
@@ -80,8 +80,8 @@ class SimRelation:
 
 
 def _require_c123(cat: Category, act: PartialAction) -> None:
-    if not c123_hold(cat, act):
-        rep = check_category_axioms(cat, act)
+    rep = check_category_axioms(cat, act)
+    if not rep.passed("C1", "C2", "C3"):
         raise AxiomError("globalization requires C1-C3 to hold", rep)
 
 
@@ -291,11 +291,11 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     """Run the whole construction and audit the invariants its proof rests on.
 
     Requires a lawful category (else ``ValueError`` names a violation) and
-    C1-C3.  The induced action g.[h, x] = [g h, x] is read one lane at a
+    C1-C3.  The induced action g.[h, x] = [g h, x] is read one member at a
     time: each member (h, x) fetches the classes of its (g h, x) in one
-    call, and that vector must equal the first one's over the same cod (the
-    same g, in a lawful category); a member that differs is re-read g by g.
-    The audit checks this class invariance, the injectivity of the embedding
+    call, over the g that :func:`composites_after` lists alike for every h
+    over one cod.  The audit checks that this vector is the same for every
+    member over one cod (class invariance), that the embedding is injective
     and that every class is reached from the embedded carrier; a failure
     raises ``RuntimeError``.  The theorem then makes the induced action
     global (C3 is associativity of ``cat.comp``).
@@ -319,20 +319,17 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
             class_of[el] = rep
             class_at[el[1]][m_index[el[0]]] = rep
 
-    # Per h: the g of after[h] in its order (equal orders share one tuple),
-    # and one fetch of the classes of their composites g h.
-    orders: dict[tuple, tuple] = {}
+    # Per h: the g of after[h], and one fetch of the classes of their g h.
     lanes: dict[str, tuple] = {}
     for h in cat.morphisms:
         pairs = after.get(h, ())
-        gs = tuple(g for g, _ in pairs)
-        lanes[h] = orders.setdefault(gs, gs), itemgetter(*(m_index[k] for _, k in pairs), len(m_index))
+        lanes[h] = tuple(g for g, _ in pairs), itemgetter(*(m_index[k] for _, k in pairs), len(m_index))
     cod = cat.cod
     action: dict[tuple[str, El], El] = {}
     for cls in classes:
         rep = cls[0]
-        # The first member over each cod sets g.[rep] for its g, in after[h]
-        # order; every later member over that cod must give the same vector.
+        # The first member over each cod sets g.[rep] for its g; every later
+        # member over that cod must give the same vector.
         first: dict[str, tuple] = {}
         for (h, x) in cls:
             gs, fetch = lanes[h]
@@ -341,11 +338,11 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
             if ref is None:
                 first[cod[h]] = gs, vec
                 action.update(zip(zip(gs, repeat(rep)), vec))
-            elif ref[1] != vec or ref[0] is not gs:
-                for g, k in after.get(h, ()):
-                    dst = class_of[(k, x)]
-                    if action.setdefault((g, rep), dst) != dst:
-                        raise RuntimeError(f"action of {g} on {rep} is not class-invariant")
+            elif ref[1] != vec:
+                # The first (g, class) that differs; a lawful category lists the same gs.
+                diff = itertools.zip_longest(zip(*ref), zip(gs, vec), fillvalue=(None, None))
+                g = next(a[0] or b[0] for a, b in diff if a != b)
+                raise RuntimeError(f"action of {g} on {rep} is not class-invariant")
 
     embed: dict[Pt, El] = {}
     for x in act.carrier:
@@ -463,21 +460,21 @@ def mediating_candidates(glob: Globalization, target: PartialAction, j: Mapping)
     """Every equivariant map out of the quotient that extends ``j``.
 
     Exhaustive: values on embedded classes are pinned by ``j``; the others
-    are assigned depth-first in ``itertools.product`` order, a partial
+    are assigned depth-first in ``itertools.product`` order, and a partial
     assignment is dropped once an equivariance instance among its assigned
-    classes fails, and every complete one goes through
-    :func:`check_g_function`.  Intended for desk-scale uniqueness audits.
+    classes fails.  Each instance is checked at the depth that decides it,
+    so every complete assignment that survives is equivariant.  Intended
+    for desk-scale uniqueness audits.
     """
-    y_act = glob.as_action()
     pinned = {glob.embed[x]: j[x] for x in glob.source.carrier}
-    free = [r for r in y_act.carrier if r not in pinned]
+    free = [c[0] for c in glob.classes if c[0] not in pinned]
     if (target.carrier or not free) and not set(pinned.values()) <= set(target.carrier):
-        # check_g_function raises this on the first candidate.
+        # Some candidate exists, and every one leaves the target carrier.
         raise ValueError("map leaves the target carrier")
     # The instance (g, x) -> y is decided once the later of x and y is assigned.
     depth = {r: i for i, r in enumerate(free, 1)}
     checks: list[list] = [[] for _ in range(len(free) + 1)]
-    for (g, x), y in y_act.table.items():
+    for (g, x), y in glob.action.items():
         checks[max(depth.get(x, 0), depth.get(y, 0))].append((g, x, y))
     cand = dict(pinned)
     found = []
@@ -486,8 +483,7 @@ def mediating_candidates(glob: Globalization, target: PartialAction, j: Mapping)
         if any(target.table.get((g, cand[x])) != cand[y] for g, x, y in checks[i]):
             return
         if i == len(free):
-            if check_g_function(cand, y_act, target).ok:
-                found.append(dict(cand))
+            found.append(dict(cand))
             return
         for v in target.carrier:
             cand[free[i]] = v

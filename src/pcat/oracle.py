@@ -3,7 +3,7 @@
 Every suite pits two independent routes against each other: union-find
 closure vs naive chain saturation, category-action axioms vs groupoid-action
 axioms, quotient construction vs exhaustively enumerated receivers, and the
-per-morphism axiom forms vs direct one-object group/monoid checks.  All
+C1-C3 verdicts vs direct one-object group/monoid checks.  All
 randomness flows through an injected ``random.Random`` so runs are
 reproducible from a seed.  Enumerated receivers meet the contract of
 ``mediating`` by construction and are not re-checked; relabeled quotients are.
@@ -606,12 +606,11 @@ def suite_scenario(cat: Category, act: PartialAction, max_size: int) -> SuiteRes
 
     Raises the same axiom error as the construction when C1-C3 fail."""
     failures = []
-    xbar = build_xbar(cat, act)
-    sim = sim_pairs(cat, act, xbar)
-    cases = 1
-    if equiv_closure(xbar, sim) != naive_closure(xbar, sim):
-        failures.append("closures disagree")
     glob = build_globalization(cat, act)
+    sim = sim_pairs(cat, act, glob.xbar)
+    cases = 1
+    if equiv_closure(glob.xbar, sim) != naive_closure(glob.xbar, sim):
+        failures.append("closures disagree")
     if len(act.carrier) <= 8:
         bound = min(8, max(min(max_size, len(glob.classes) + 1), len(act.carrier), 1))
         for target, j in enumerate_globalizations(cat, act, bound):

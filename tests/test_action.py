@@ -7,6 +7,7 @@ import pytest
 
 from pcat import (
     PartialAction,
+    Scenario,
     SetFunctor,
     build_globalization,
     check_category_axioms,
@@ -17,24 +18,27 @@ from pcat import (
     functor_violations,
     is_groupoid,
     parse,
+    serialize,
     to_functor,
     to_triple,
 )
 
-from pcat.action import groupoid_report
+from pcat.action import composites_after, groupoid_report
 from pcat.category import composable_pairs
 from pcat.fixtures import FIXTURES
 from pcat.oracle import (
+    chain_category,
     connected_groupoid,
     group_category,
     random_category,
     random_groupoid,
+    random_monoid,
     random_points,
     random_table,
     random_valid_action,
 )
 
-from conftest import fixture_text
+from conftest import FIXTURE_DIR, fixture_text
 
 
 def load(stem):
@@ -542,3 +546,21 @@ def test_row_derived_reference_errors_match_the_reference_loops():
         ("ValueError", "action references unknown morphism 'zzz'"),
         ("ValueError", "action entry ('e', '7') -> '7' leaves the carrier"),
     }
+
+
+def test_composites_after_lists_the_g_of_each_cod_in_sorted_order():
+    # The class-invariance audit of build_globalization compares the vectors
+    # of the members over one codomain position by position, so every h over
+    # a codomain c must list the same g: all those out of c, sorted.
+    cats = [parse(path.read_text()).category for path in sorted(FIXTURE_DIR.glob("*.pcat"))]
+    cats += [connected_groupoid(n, g) for n, g in ((1, "z2"), (2, "z3"), (2, "klein"), (3, "s3"))]
+    cats += [group_category(name) for name in ("z1", "z2", "z3", "z4", "klein", "s3")]
+    cats += [chain_category()] + [random_monoid(random.Random(s)) for s in range(10)]
+    cat, kept, table = s3_restriction(random.Random(0))
+    scn = Scenario("s3x3", "restricted", cat, PartialAction.make(kept, table), None, None, None)
+    cats += [cat, parse(serialize(scn, "text")).category]
+    for cat in cats:
+        after = composites_after(cat)
+        for h in cat.morphisms:
+            out_of_cod = sorted(g for g in cat.morphisms if cat.dom[g] == cat.cod[h])
+            assert [g for g, _ in after[h]] == out_of_cod, (cat.objects, h)

@@ -7,6 +7,7 @@ import sys
 import time
 
 from pcat import FiniteTopology, PartialAction, Scenario, parse, serialize
+from pcat.cli import DEFAULT_SEED
 from pcat.oracle import group_category
 
 from conftest import FIXTURE_DIR, REPO, fixture_text, golden_text, run_cli
@@ -430,6 +431,40 @@ def test_target_out_round_trips_through_mediate(tmp_path):
             assert pt == cls.replace("[", "").replace("]", "").replace(",", "__")
 
 
+def test_target_out_rejects_representatives_that_share_a_point_name(tmp_path):
+    # The representatives (a, b__c) and (a__b, c) would both be named a__b__c.
+    src = tmp_path / "clash.pcat"
+    src.write_text(
+        "category two\nobject a\nobject a__b\nend\n"
+        "action clash\npoint b__c c\nact a b__c = b__c\nact a__b c = c\nend\n"
+    )
+    out_path = tmp_path / "quotient.pcat"
+    for argv in (["globalize"], ["globalize", "--json"]):
+        code, out, err = run_cli([*argv, "--target-out", str(out_path), str(src)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "--target-out: class representatives [a,b__c] and [a__b,c] both become point a__b__c\n"
+        )
+        assert not out_path.exists()
+    code, out, err = run_cli(["globalize", str(src)])
+    assert code == 0 and err == "" and "classes 2" in out
+
+
+def test_oracle_checks_the_file_before_the_randomized_suites(monkeypatch, tmp_path):
+    import pcat.cli
+
+    called = []
+    monkeypatch.setattr(pcat.cli, "run_oracle", lambda seed, max_size: called.append(seed) or [])
+    bad = tmp_path / "uncovered.pcat"
+    bad.write_text(fixture_text("arrow_small").replace("point 1 2 3", "point 1 2 3 4"))
+    code, out, err = run_cli(["oracle", str(bad)])
+    assert (code, out, called) == (1, "", [])
+    assert "axioms C1 fail (4)" in err
+    code, out, err = run_cli(["oracle", fx("arrow_small"), "--max-size", "3"])
+    assert code == 0 and called == [DEFAULT_SEED]
+    assert out.startswith("suite scenario cases ")
+
+
 def test_oracle_rejects_bad_max_size():
     for n in ("0", "9"):
         code, out, err = run_cli(["oracle", "--max-size", n])
@@ -459,7 +494,6 @@ def _record_checks(monkeypatch) -> dict:
     for owner, name in (
         (pcat.category, "validate_category"),
         (pcat.action, "check_category_axioms"),
-        (pcat.action, "c123_hold"),
         (pcat.action, "check_groupoid_axioms"),
     ):
         orig = getattr(owner, name)
@@ -480,19 +514,18 @@ def _record_checks(monkeypatch) -> dict:
 def test_each_command_checks_the_axioms_once_per_action(monkeypatch, tmp_path):
     # The quotient's C1-C4 report comes from the globalization theorem, and
     # validate derives GR1-GR4 from C1-C4, so each check below runs on user
-    # input only: the category once, and the axioms once per action.  The
-    # construction needs only C1-C3 of its source, checked by c123_hold.
+    # input only: the category once, and the axioms once per action.
     calls = _record_checks(monkeypatch)
     target_out = str(tmp_path / "quotient.pcat")
-    expected = [(["validate", fx(stem)], 1, 0) for stem in STEMS]
+    expected = [(["validate", fx(stem)], 1) for stem in STEMS]
     for stem in STEMS:
-        expected.append((["globalize", fx(stem)], 0, 1))
-        expected.append((["globalize", "--json", "--target-out", target_out, fx(stem)], 0, 1))
-    expected.append((["topo", fx("arrow_small_topo")], 0, 1))
+        expected.append((["globalize", fx(stem)], 1))
+        expected.append((["globalize", "--json", "--target-out", target_out, fx(stem)], 1))
+    expected.append((["topo", fx("arrow_small_topo")], 1))
     # the target of a mediation is user input and is checked as well
-    expected.append((["mediate", fx("arrow_small"), "--target", fx("arrow_small_target")], 1, 1))
-    expected.append((["topo", fx("arrow_small_topo"), "--target", fx("arrow_small_target")], 1, 1))
-    for argv, full, c123 in expected:
+    expected.append((["mediate", fx("arrow_small"), "--target", fx("arrow_small_target")], 2))
+    expected.append((["topo", fx("arrow_small_topo"), "--target", fx("arrow_small_target")], 2))
+    for argv, actions in expected:
         for seen in calls.values():
             seen.clear()
         code, _, _ = run_cli(argv)
@@ -500,7 +533,6 @@ def test_each_command_checks_the_axioms_once_per_action(monkeypatch, tmp_path):
         assert code == 0, argv
         assert got == {
             "validate_category": 1,
-            "check_category_axioms": full,
-            "c123_hold": c123,
+            "check_category_axioms": actions,
             "check_groupoid_axioms": 0,
         }, (argv, got)

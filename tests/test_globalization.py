@@ -765,15 +765,18 @@ def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch
     assert len(messages) > 30
 
 
-def test_sabotaged_closure_is_caught_when_vectors_agree_in_another_g_order(monkeypatch):
-    # Z3 with its composites listed so that the g after e come as e, m1, m2
-    # and the g after m1 as m2, e, m1.  In the merged class below, (e, 1)
-    # and (m1, 1) then give equal vectors that are different maps.
+def test_sabotaged_closure_is_caught_whatever_the_composite_insertion_order(monkeypatch):
+    # Z3 with its composites inserted so that the g after e come as e, m1, m2
+    # and the g after m1 as m2, e, m1.  Listed in those orders, (e, 1) and
+    # (m1, 1) in the merged class below would give equal vectors that are
+    # different maps; composites_after lists both in sorted order.
     z3 = group_category("z3")
     order = [("e", "e"), ("m1", "e"), ("m2", "e"), ("m2", "m1"), ("e", "m1"), ("m1", "m1")]
     comp = {key: z3.comp[key] for key in order}
     comp.update(z3.comp)
     cat = Category(z3.objects, z3.morphisms, z3.dom, z3.cod, comp)
+    after = composites_after(cat)
+    assert [g for g, _ in after["e"]] == [g for g, _ in after["m1"]] == ["e", "m1", "m2"]
     act = PartialAction(("1", "2"), {("e", "1"): "1", ("e", "2"): "2"})
     merged = (
         (("e", "1"), ("e", "2"), ("m1", "1"), ("m1", "2")),
@@ -786,7 +789,7 @@ def test_sabotaged_closure_is_caught_when_vectors_agree_in_another_g_order(monke
     with pytest.raises(RuntimeError) as info:
         build_globalization(cat, act)
     assert str(info.value) == str(expected.value) == (
-        "action of m2 on ('e', '1') is not class-invariant"
+        "action of m1 on ('e', '1') is not class-invariant"
     )
 
 
@@ -824,12 +827,12 @@ def test_build_globalization_names_the_missing_composite():
     assert str(info.value) == (
         "globalization requires a lawful category: no composite declared for q after p (and 1 more)"
     )
-    # Unchecked, the same category gives a quotient that is not global,
-    # while the theorem's report would still claim C1-C4.
+    # Unchecked, the same category fails the class-invariance audit: the
+    # members over b of one class list q after b but not after p.
     broken.__dict__["validation"] = ValidationReport(())
-    glob = build_globalization(broken, act)
-    assert glob.axioms.all_pass
-    assert not check_category_axioms(broken, glob.as_action()).passed("C4")
+    with pytest.raises(RuntimeError) as info:
+        build_globalization(broken, act)
+    assert str(info.value) == "action of q on ('a', '2') is not class-invariant"
 
 
 def test_build_globalization_counts_the_other_violations():
