@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Any, Mapping, Optional
 
-from .category import Category, GroupoidWitness, composable_pairs
+from .category import Category, composable_pairs
 
 Pt = Any
 
@@ -131,20 +131,6 @@ def _c4_witnesses(cat: Category, act: PartialAction, rows: Rows) -> tuple[tuple,
     return tuple(out)
 
 
-def composites_after(cat: Category) -> dict[str, list[tuple[str, str]]]:
-    """Index each morphism h to the pairs (g, g h) over its composable g, in
-    sorted order of g.  In a lawful category every h over one codomain c then
-    lists the same g: all those with dom g = c."""
-    after: dict[str, list[tuple[str, str]]] = {}
-    for (g, h), k in cat.comp.items():
-        d = cat.dom.get(g)
-        if d is not None and d == cat.cod.get(h):
-            after.setdefault(h, []).append((g, k))
-    for pairs in after.values():
-        pairs.sort()
-    return after
-
-
 def _pair_major(act: PartialAction, witnesses: list[tuple]) -> tuple[tuple, ...]:
     """Order (g, h, x) witnesses by composable pair, then by x's carrier position."""
     if not witnesses:
@@ -170,7 +156,7 @@ def _c3_witnesses(cat: Category, act: PartialAction, rows: Rows) -> list[tuple]:
             lst[i] = j
         fetch[h] = itemgetter(*xs, n), itemgetter(*ys, n)
     out: list[tuple] = []
-    after = composites_after(cat)
+    after = cat.after
     for h, row_h in rows.items():
         at_x, at_y = fetch[h]
         for g, k in after.get(h, ()):
@@ -205,20 +191,33 @@ def check_category_axioms(cat: Category, act: PartialAction) -> AxiomReport:
     )
 
 
-def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialAction) -> AxiomReport:
-    """Check the groupoid-action axioms GR1-GR4.
+def _inverse(cat: Category) -> Mapping[str, str]:
+    inv = cat.inverse
+    if inv is None:
+        raise ValueError("the groupoid axioms need a groupoid: some morphism has no inverse")
+    return inv
+
+
+def _gr2_witnesses(inv: Mapping[str, str], act: PartialAction) -> tuple[tuple, ...]:
+    """Defined steps g.x = y that the inverse of g does not send back to x, sorted."""
+    t = act.table
+    return tuple(sorted(key for key, y in t.items() if t.get((inv[key[0]], y)) != key[1]))
+
+
+def check_groupoid_axioms(cat: Category, act: PartialAction) -> AxiomReport:
+    """Check the groupoid-action axioms GR1-GR4 over ``cat.inverse``.
 
     GR1 coincides with C1 and GR4 with C4.  GR2 demands that the inverse
     undoes every defined step; GR3 demands closure of definedness under
     composition in the stepwise-to-composite direction only.  GR3 uses the
-    same step index as C3.
+    same step index as C3.  Raises ``ValueError`` when ``cat`` is not a
+    groupoid.
     """
+    inv = _inverse(cat)
     rows = _rows(act)
     _check_refs(cat, act, rows)
-    t = act.table
-    gr2 = sorted(key for key, y in t.items() if t.get((wit.inverse[key[0]], y)) != key[1])
     gr3: list[tuple] = []
-    after = composites_after(cat)
+    after = cat.after
     for h, row_h in rows.items():
         for g, k in after.get(h, ()):
             row_g, row_k = rows.get(g, _NO_ROW), rows.get(k, _NO_ROW)
@@ -229,21 +228,22 @@ def check_groupoid_axioms(cat: Category, wit: GroupoidWitness, act: PartialActio
     return AxiomReport(
         {
             "GR1": _c1_witnesses(cat, act, rows),
-            "GR2": tuple(gr2),
+            "GR2": _gr2_witnesses(inv, act),
             "GR3": _pair_major(act, gr3),
             "GR4": _c4_witnesses(cat, act, rows),
         }
     )
 
 
-def groupoid_report(c: AxiomReport, wit: GroupoidWitness, act: PartialAction) -> AxiomReport:
+def groupoid_report(cat: Category, act: PartialAction, c: AxiomReport) -> AxiomReport:
     """GR1-GR4 from the C1-C4 report ``c`` of the same action: GR1 is C1,
     GR4 is C4, GR3 the C3 witnesses (g, h, x) with h.x in dom g; only GR2
-    walks the table.  :func:`check_groupoid_axioms` is the independent route."""
+    walks the table.  :func:`check_groupoid_axioms` is the independent route.
+    Raises ``ValueError`` when ``cat`` is not a groupoid."""
     t, w = act.table, c.witnesses
-    gr2 = sorted(key for key, y in t.items() if t.get((wit.inverse[key[0]], y)) != key[1])
+    gr2 = _gr2_witnesses(_inverse(cat), act)
     gr3 = tuple(v for v in w["C3"] if (v[0], t[v[1], v[2]]) in t)
-    return AxiomReport({"GR1": w["C1"], "GR2": tuple(gr2), "GR3": gr3, "GR4": w["C4"]})
+    return AxiomReport({"GR1": w["C1"], "GR2": gr2, "GR3": gr3, "GR4": w["C4"]})
 
 
 @dataclass(frozen=True)
@@ -291,13 +291,11 @@ def from_triple(cat: Category, t: TripleForm) -> PartialAction:
     return PartialAction(t.carrier, table)
 
 
-def check_triple_axioms(
-    cat: Category, t: TripleForm, groupoid: Optional[GroupoidWitness] = None
-) -> AxiomReport:
+def check_triple_axioms(cat: Category, t: TripleForm) -> AxiomReport:
     """Check the per-morphism forms of the axioms on a triple view.
 
-    Always checks C1'-C4'; with a groupoid witness additionally checks the
-    groupoid forms (GR1' and GR2' restate C1' and C2') plus GR3' and the
+    Always checks C1'-C4'; when ``cat.inverse`` is set it additionally checks
+    the groupoid forms (GR1' and GR2' restate C1' and C2') plus GR3' and the
     bijectivity of each induced map with the inverse morphism's map.
     """
     dom_of = lambda g: t.domains.get(g, frozenset())
@@ -341,13 +339,14 @@ def check_triple_axioms(
             c4.append((g, x))
 
     out = {"C1'": tuple(c1), "C2'": tuple(c2), "C3'": tuple(c3), "C4'": tuple(c4)}
-    if groupoid is not None:
+    inverse = cat.inverse
+    if inverse is not None:
         gr3: list[tuple] = []
         for (g, h) in sorted(composable_pairs(cat)):
             k = cat.comp.get((g, h))
             if k is None:
                 continue
-            hi = groupoid.inverse[h]
+            hi = inverse[h]
             lhs = {map_of(h)[x] for x in dom_of(h) & dom_of(k)}
             rhs = dom_of(g) & dom_of(hi)
             for x in sorted(lhs ^ rhs):
@@ -357,7 +356,7 @@ def check_triple_axioms(
                     gr3.append((g, h, x))
         bij: list[tuple] = []
         for g in sorted(t.domains):
-            gi = groupoid.inverse[g]
+            gi = inverse[g]
             for x in sorted(img_of(g) ^ dom_of(gi)):
                 bij.append((g, x))
             for x in sorted(dom_of(g)):

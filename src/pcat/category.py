@@ -17,8 +17,11 @@ from typing import Iterable, Mapping, Optional
 class Category:
     """A finite category given by identifier sets and explicit structure maps.
 
-    Construction performs no law checking; ``validation`` caches the report
-    of :func:`validate_category`.
+    Construction performs no law checking.  Facts derived from the tables
+    are cached properties, each computed on first use: ``validation`` (the
+    :func:`validate_category` report), ``after`` (the composite index) and
+    ``inverse`` (the :func:`is_groupoid` map).  Library categories are
+    shared between callers, so these are read-only by contract.
     """
 
     objects: tuple[str, ...]
@@ -53,17 +56,35 @@ class Category:
         for g in mors:
             table[(g, dom[g])] = g
             table[(cod[g], g)] = g
-        for (g, h), k in comp.items():
-            prior = table.get((g, h))
+        for key, k in comp.items():
+            prior = table.get(key)
             if prior is not None and prior != k:
-                raise ValueError(f"conflicting composite for ({g!r}, {h!r})")
-            table[(g, h)] = k
+                raise ValueError(f"conflicting composite for ({key[0]!r}, {key[1]!r})")
+            table[key] = k
         return Category(objs, mors, dom, cod, table)
 
     @cached_property
     def validation(self) -> "ValidationReport":
-        """The :func:`validate_category` report, computed on first use."""
+        """The :func:`validate_category` report."""
         return validate_category(self)
+
+    @cached_property
+    def after(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
+        """Each morphism h indexed to the pairs (g, g h) over its composable g,
+        in sorted order of g.  In a lawful category every h over one codomain
+        c then lists the same g: all those with dom g = c."""
+        after: dict[str, list[tuple[str, str]]] = {}
+        for (g, h), k in self.comp.items():
+            d = self.dom.get(g)
+            if d is not None and d == self.cod.get(h):
+                after.setdefault(h, []).append((g, k))
+        return {h: tuple(sorted(pairs)) for h, pairs in after.items()}
+
+    @cached_property
+    def inverse(self) -> Optional[Mapping[str, str]]:
+        """The :func:`is_groupoid` inverse map, or None when some morphism has
+        no inverse."""
+        return is_groupoid(self)
 
 
 @dataclass(frozen=True)
@@ -95,11 +116,6 @@ def composable_pairs(cat: Category) -> set[tuple[str, str]]:
         for h in cat.morphisms
         if cat.dom.get(g) is not None and cat.dom.get(g) == cat.cod.get(h)
     }
-
-
-def compose(cat: Category, g: str, h: str) -> Optional[str]:
-    """The composite "g after h", or None when the pair is not composable."""
-    return cat.comp.get((g, h))
 
 
 def validate_category(cat: Category) -> ValidationReport:
@@ -168,15 +184,9 @@ def validate_category(cat: Category) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-@dataclass(frozen=True)
-class GroupoidWitness:
-    """Inverse assignment witnessing that a category is a groupoid."""
-
-    inverse: Mapping[str, str]
-
-
-def is_groupoid(cat: Category) -> Optional[GroupoidWitness]:
-    """Return an inverse witness if every morphism has a two-sided inverse.
+def is_groupoid(cat: Category) -> Optional[dict[str, str]]:
+    """The map sending each morphism to a two-sided inverse, or None when
+    some morphism has none.  ``Category.inverse`` caches it.
 
     Expects a category that passes :func:`validate_category`.
     """
@@ -192,4 +202,4 @@ def is_groupoid(cat: Category) -> Optional[GroupoidWitness]:
         inv[g] = found
     if any(inv[inv[g]] != g for g in cat.morphisms):
         raise ValueError("inverse assignment is not an involution")
-    return GroupoidWitness(inv)
+    return inv

@@ -11,7 +11,6 @@ import argparse
 import functools
 import sys
 
-from .category import is_groupoid
 from .action import check_category_axioms, groupoid_report
 from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize, witness_text
 from .dsl import _axiom_report_json, _validation_json, to_json
@@ -127,8 +126,7 @@ def cmd_validate(args) -> int:
         _emit(val, args.json)
         return 1
     axioms = check_category_axioms(scn.category, scn.action)
-    witness = is_groupoid(scn.category)
-    gr = groupoid_report(axioms, witness, scn.action) if witness else None
+    gr = groupoid_report(scn.category, scn.action, axioms) if scn.category.inverse is not None else None
     if args.json:
         payload = {"category": _validation_json(val), "action": _axiom_report_json(axioms)["axioms"]}
         if gr is not None:
@@ -158,8 +156,12 @@ def cmd_globalize(args) -> int:
         except ValueError as exc:
             print(f"--target-out: {exc}", file=sys.stderr)
             return 1
-        with open(args.target_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize(out, "text"))
+        try:
+            with open(args.target_out, "w", encoding="utf-8") as fh:
+                fh.write(serialize(out, "text"))
+        except OSError as exc:
+            print(f"--target-out: {args.target_out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         del out  # not held while the stdout payload is built
     _emit(glob, args.json)
     return 0

@@ -224,28 +224,11 @@ class _Parser:
             else:
                 self.err("E_SYNTAX", f"unexpected directive {head!r} in category block", line, col)
 
-        dom = {o: o for o in objects}
-        cod = {o: o for o in objects}
-        for m, (d, c) in arrows.items():
-            dom[m] = d
-            cod[m] = c
-        comp: dict[tuple[str, str], str] = {}
-        for m in dom:
-            comp[(m, dom[m])] = m
-            comp[(cod[m], m)] = m
-        comp.update(explicit)
         for (g, h) in sorted((g, h) for g in arrows for h in arrows if arrows[g][0] == arrows[h][1]):
             if (g, h) not in explicit:
-                self.err(
-                    "E_MISSING_COMP",
-                    f"composable pair ({g}, {h}) has no comp line",
-                    line,
-                    1,
-                )
-        cat = Category(
-            tuple(sorted(objects)), tuple(sorted(dom)), dom, cod, comp
-        )
-        return name, cat
+                self.err("E_MISSING_COMP", f"composable pair ({g}, {h}) has no comp line", line, 1)
+        # Duplicates and identity conflicts were rejected above, so this cannot raise.
+        return name, Category.make(objects, arrows, explicit)
 
     def action_block(self, line, toks, category: Category):
         if len(toks) != 2:

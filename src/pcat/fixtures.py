@@ -8,17 +8,21 @@ repository root carry the same data in DSL form.
 
 from __future__ import annotations
 
+import functools
+
 from .category import Category
 from .action import PartialAction
 
 
+@functools.cache
 def arrow_category() -> Category:
-    """Objects e, f and a single non-identity arrow g: e -> f."""
+    """Objects e, f and a single non-identity arrow g: e -> f (built once, shared)."""
     return Category.make(["e", "f"], {"g": ("e", "f")}, {})
 
 
+@functools.cache
 def iso_groupoid() -> Category:
-    """Objects e, f with mutually inverse arrows g: e -> f and g_inv: f -> e."""
+    """Objects e, f with arrows g: e -> f and its inverse g_inv (built once, shared)."""
     return Category.make(
         ["e", "f"],
         {"g": ("e", "f"), "g_inv": ("f", "e")},

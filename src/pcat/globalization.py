@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .category import Category
-from .action import AxiomReport, PartialAction, check_category_axioms, composites_after
+from .action import AxiomReport, PartialAction, check_category_axioms
 
 Pt = Any
 El = tuple[str, Pt]
@@ -130,9 +130,7 @@ Partition = tuple[tuple[El, ...], ...]
 _GLOBAL = AxiomReport({"C1": (), "C2": (), "C3": (), "C4": ()})
 
 
-def _one_step(
-    cat: Category, act: PartialAction, after: Mapping[str, list[tuple[str, str]]]
-) -> Iterator[tuple[El, El]]:
+def _one_step(cat: Category, act: PartialAction) -> Iterator[tuple[El, El]]:
     """A generating set of the one-step relation, as bare (src, dst) pairs.
 
     Each defined step (h, x) -> y gives its identity instance
@@ -146,7 +144,7 @@ def _one_step(
     are pairs with g h = g at a point h fixes; repeats are not filtered.
     """
     t = act.table
-    cod, comp = cat.cod, cat.comp
+    cod, comp, after = cat.cod, cat.comp, cat.after
     # (object c, point y) -> the g out of c with g.y undefined
     missing: dict[El, tuple[str, ...]] = {}
     for (h, x), y in t.items():
@@ -293,7 +291,7 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     Requires a lawful category (else ``ValueError`` names a violation) and
     C1-C3.  The induced action g.[h, x] = [g h, x] is read one member at a
     time: each member (h, x) fetches the classes of its (g h, x) in one
-    call, over the g that :func:`composites_after` lists alike for every h
+    call, over the g that ``cat.after`` lists alike for every h
     over one cod.  The audit checks that this vector is the same for every
     member over one cod (class invariance), that the embedding is injective
     and that every class is reached from the embedded carrier; a failure
@@ -305,8 +303,7 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
         more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
         raise ValueError(f"globalization requires a lawful category: {bad[0].detail}{more}")
     xbar = build_xbar(cat, act)
-    after = composites_after(cat)
-    classes = equiv_closure(xbar, _one_step(cat, act, after))
+    classes = equiv_closure(xbar, _one_step(cat, act))
     # class_of, and per point x a list over morphism index m of the class of
     # (m, x), with a trailing None so that every fetch below is a tuple.
     m_index = {m: i for i, m in enumerate(cat.morphisms)}
@@ -319,10 +316,10 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
             class_of[el] = rep
             class_at[el[1]][m_index[el[0]]] = rep
 
-    # Per h: the g of after[h], and one fetch of the classes of their g h.
+    # Per h: the g of cat.after[h], and one fetch of the classes of their g h.
     lanes: dict[str, tuple] = {}
     for h in cat.morphisms:
-        pairs = after.get(h, ())
+        pairs = cat.after.get(h, ())
         lanes[h] = tuple(g for g, _ in pairs), itemgetter(*(m_index[k] for _, k in pairs), len(m_index))
     cod = cat.cod
     action: dict[tuple[str, El], El] = {}

@@ -23,7 +23,7 @@ from pcat import (
     to_triple,
 )
 
-from pcat.action import composites_after, groupoid_report
+from pcat.action import groupoid_report
 from pcat.category import composable_pairs
 from pcat.fixtures import FIXTURES
 from pcat.oracle import (
@@ -88,10 +88,9 @@ def test_fixture_category_axiom_witnesses():
 def test_fixture_groupoid_axiom_witnesses():
     for stem in ("iso_fixed", "iso_shift"):
         cat, act = load(stem)
-        wit = is_groupoid(cat)
-        assert wit is not None
+        assert cat.inverse == {"e": "e", "f": "f", "g": "g_inv", "g_inv": "g"}
         base = check_category_axioms(cat, act)
-        rep = check_groupoid_axioms(cat, wit, act)
+        rep = check_groupoid_axioms(cat, act)
         assert rep.witnesses["GR1"] == base.witnesses["C1"]
         assert rep.witnesses["GR4"] == base.witnesses["C4"]
         assert rep.passed("GR1", "GR2", "GR3")
@@ -128,11 +127,10 @@ def test_c3_broken_by_disagreeing_evaluation_orders():
 
 def test_gr2_broken_by_inverse_not_undoing_a_step():
     cat, act = load("iso_fixed")
-    wit = is_groupoid(cat)
     table = dict(act.table)
     table[("g", "2")] = "3"
     mutated = PartialAction.make(act.carrier, table)
-    rep = check_groupoid_axioms(cat, wit, mutated)
+    rep = check_groupoid_axioms(cat, mutated)
     assert rep.witnesses["GR2"] == (("g", "2"), ("g_inv", "2"))
     assert rep.witnesses["GR3"] == (("g", "g_inv", "2"),)
 
@@ -142,12 +140,11 @@ def test_gr3_checks_one_direction_only():
     # orders; the groupoid form only demands stepwise-defined implies
     # composite-defined, so it sees half the witnesses here.
     cat, act = load("iso_fixed")
-    wit = is_groupoid(cat)
     table = dict(act.table)
     table[("g", "2")] = "3"
     mutated = PartialAction.make(act.carrier, table)
     c = check_category_axioms(cat, mutated)
-    g = check_groupoid_axioms(cat, wit, mutated)
+    g = check_groupoid_axioms(cat, mutated)
     assert c.witnesses["C3"] == (("g", "g_inv", "2"), ("g_inv", "g", "2"))
     assert g.witnesses["GR3"] == (("g", "g_inv", "2"),)
 
@@ -225,13 +222,15 @@ def test_triple_axioms_match_table_axioms_on_fixtures():
         triple_rep = check_triple_axioms(cat, to_triple(act))
         for name, primed in rename.items():
             assert triple_rep.witnesses[primed] == table_rep.witnesses[name], stem
+        # The groupoid forms are reported exactly over a groupoid.
+        assert ("GR3'" in triple_rep.witnesses) == stem.startswith("iso"), stem
+        assert ("ALPHA_BIJ" in triple_rep.witnesses) == (cat.inverse is not None), stem
 
 
 def test_triple_groupoid_forms_on_iso_fixtures():
     for stem in ("iso_fixed", "iso_shift"):
         cat, act = load(stem)
-        wit = is_groupoid(cat)
-        rep = check_triple_axioms(cat, to_triple(act), wit)
+        rep = check_triple_axioms(cat, to_triple(act))
         assert rep.witnesses["GR1'"] == rep.witnesses["C1'"]
         assert rep.witnesses["GR2'"] == rep.witnesses["C2'"]
         assert rep.witnesses["GR3'"] == ()
@@ -240,9 +239,8 @@ def test_triple_groupoid_forms_on_iso_fixtures():
 
 def test_alpha_bij_broken_by_dropping_an_inverse_step():
     cat, act = load("iso_fixed")
-    wit = is_groupoid(cat)
     table = {k: v for k, v in act.table.items() if k != ("g_inv", "2")}
-    rep = check_triple_axioms(cat, to_triple(PartialAction.make(act.carrier, table)), wit)
+    rep = check_triple_axioms(cat, to_triple(PartialAction.make(act.carrier, table)))
     assert rep.witnesses["ALPHA_BIJ"] == (("g", "2"), ("g", "2"))
     assert ("g_inv", "g", "2") in rep.witnesses["GR3'"]
 
@@ -367,10 +365,9 @@ def test_c3_and_gr3_witnesses_come_in_pair_major_order():
     for cat, act in cases:
         c3, gr3 = _c3_gr3_pair_major(cat, act)
         assert check_category_axioms(cat, act).witnesses["C3"] == c3
-        wit = is_groupoid(cat)
-        if wit:
-            assert check_groupoid_axioms(cat, wit, act).witnesses["GR3"] == gr3
-            derived = groupoid_report(check_category_axioms(cat, act), wit, act)
+        if cat.inverse is not None:
+            assert check_groupoid_axioms(cat, act).witnesses["GR3"] == gr3
+            derived = groupoid_report(cat, act, check_category_axioms(cat, act))
             assert derived.witnesses["GR3"] == gr3
         multi += len({w[:2] for w in c3}) > 1 and len({w[2] for w in c3}) > 1
     assert multi > 100
@@ -415,16 +412,16 @@ def _ref_c4_witnesses(cat, act):
     )
 
 
-def _ref_report(cat, act, wit=None):
-    """The C1-C4 report, or the GR1-GR4 report when ``wit`` is given."""
+def _ref_report(cat, act, inv=None):
+    """The C1-C4 report, or the GR1-GR4 report when the inverse map ``inv`` is given."""
     _ref_check_refs(cat, act)
     t = act.table
     c3, gr3 = _c3_gr3_pair_major(cat, act)
     c1, c4 = _ref_c1_witnesses(cat, act), _ref_c4_witnesses(cat, act)
-    if wit is None:
+    if inv is None:
         c2 = sorted(key for key in t if (cat.dom[key[0]], key[1]) not in t)
         return [("C1", c1), ("C2", tuple(c2)), ("C3", c3), ("C4", c4)]
-    gr2 = sorted(key for key, y in t.items() if t.get((wit.inverse[key[0]], y)) != key[1])
+    gr2 = sorted(key for key, y in t.items() if t.get((inv[key[0]], y)) != key[1])
     return [("GR1", c1), ("GR2", tuple(gr2)), ("GR3", gr3), ("GR4", c4)]
 
 
@@ -502,10 +499,10 @@ def test_row_derived_witnesses_match_the_reference_loops():
         failing["C2"] += len(ref[1][1]) > 1
         failing["C4"] += len({w[0] for w in ref[3][1]}) > 1
         wit = is_groupoid(cat)
-        if wit:
+        if wit is not None:
             ref = _ref_report(cat, act, wit)
-            assert list(check_groupoid_axioms(cat, wit, act).witnesses.items()) == ref
-            derived = groupoid_report(check_category_axioms(cat, act), wit, act)
+            assert list(check_groupoid_axioms(cat, act).witnesses.items()) == ref
+            derived = groupoid_report(cat, act, check_category_axioms(cat, act))
             assert list(derived.witnesses.items()) == ref
             failing["GR1"] += len(ref[0][1]) > 1
             failing["GR4"] += len(ref[3][1]) > 1
@@ -539,7 +536,7 @@ def test_row_derived_reference_errors_match_the_reference_loops():
         bad = PartialAction(act.carrier, {**dict(perm), **act.table})
         expected = _ref_outcome(cat, bad)
         assert _outcome(check_category_axioms, cat, bad) == expected
-        assert _outcome(check_groupoid_axioms, cat, wit, bad) == _ref_outcome(cat, bad, wit)
+        assert _outcome(check_groupoid_axioms, cat, bad) == _ref_outcome(cat, bad, wit)
         raised.add(expected)
     assert raised == {
         ("ValueError", "action entry ('g', '1') -> '9' leaves the carrier"),
@@ -548,7 +545,16 @@ def test_row_derived_reference_errors_match_the_reference_loops():
     }
 
 
-def test_composites_after_lists_the_g_of_each_cod_in_sorted_order():
+def test_groupoid_checks_reject_a_category_that_is_not_a_groupoid():
+    cat, act = load("arrow_small")
+    assert cat.inverse is None
+    with pytest.raises(ValueError, match="need a groupoid"):
+        check_groupoid_axioms(cat, act)
+    with pytest.raises(ValueError, match="need a groupoid"):
+        groupoid_report(cat, act, check_category_axioms(cat, act))
+
+
+def test_composite_index_lists_the_g_of_each_cod_in_sorted_order():
     # The class-invariance audit of build_globalization compares the vectors
     # of the members over one codomain position by position, so every h over
     # a codomain c must list the same g: all those out of c, sorted.
@@ -560,7 +566,9 @@ def test_composites_after_lists_the_g_of_each_cod_in_sorted_order():
     scn = Scenario("s3x3", "restricted", cat, PartialAction.make(kept, table), None, None, None)
     cats += [cat, parse(serialize(scn, "text")).category]
     for cat in cats:
-        after = composites_after(cat)
+        after = cat.after
+        assert cat.after is after
         for h in cat.morphisms:
+            assert isinstance(after[h], tuple), (cat.objects, h)
             out_of_cod = sorted(g for g in cat.morphisms if cat.dom[g] == cat.cod[h])
             assert [g for g, _ in after[h]] == out_of_cod, (cat.objects, h)

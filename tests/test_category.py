@@ -5,7 +5,6 @@ import pytest
 from pcat import (
     Category,
     composable_pairs,
-    compose,
     is_groupoid,
     validate_category,
 )
@@ -40,9 +39,9 @@ def test_composable_pairs_arrow():
 
 def test_compose_lookup():
     cat = iso_groupoid()
-    assert compose(cat, "g", "g_inv") == "f"
-    assert compose(cat, "g_inv", "g") == "e"
-    assert compose(cat, "g", "g") is None
+    assert cat.comp.get(("g", "g_inv")) == "f"
+    assert cat.comp.get(("g_inv", "g")) == "e"
+    assert cat.comp.get(("g", "g")) is None
 
 
 def test_validate_fixture_categories():
@@ -112,13 +111,24 @@ def test_validate_comp_not_composable_and_bad_span():
 
 
 def test_is_groupoid_positive():
-    wit = is_groupoid(iso_groupoid())
-    assert wit is not None
-    assert wit.inverse == {"e": "e", "f": "f", "g": "g_inv", "g_inv": "g"}
+    inv = is_groupoid(iso_groupoid())
+    assert inv == {"e": "e", "f": "f", "g": "g_inv", "g_inv": "g"}
+    assert iso_groupoid().inverse == inv
     for name in ("z1", "z2", "z3", "z4", "klein", "s3"):
-        assert is_groupoid(group_category(name)) is not None
+        cat = group_category(name)
+        assert is_groupoid(cat) is not None
+        assert cat.inverse == is_groupoid(cat)
 
 
 def test_is_groupoid_negative():
     assert is_groupoid(arrow_category()) is None
     assert is_groupoid(chain_category()) is None
+    assert arrow_category().inverse is None and chain_category().inverse is None
+
+
+def test_library_categories_are_built_once_and_cache_their_facts():
+    assert group_category("z3") is group_category("z3")
+    assert iso_groupoid() is iso_groupoid() and chain_category() is chain_category()
+    cat = group_category("s3")
+    assert cat.validation is cat.validation and cat.validation.ok
+    assert cat.after is cat.after and cat.inverse is cat.inverse

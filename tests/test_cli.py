@@ -1,12 +1,15 @@
 """End-to-end CLI tests: golden outputs, exit codes, and determinism."""
 
+import errno
+import functools
 import importlib.util
 import json
+import os
 import random
 import sys
 import time
 
-from pcat import FiniteTopology, PartialAction, Scenario, parse, serialize
+from pcat import Category, FiniteTopology, PartialAction, Scenario, parse, serialize
 from pcat.cli import DEFAULT_SEED
 from pcat.oracle import group_category
 
@@ -450,6 +453,15 @@ def test_target_out_rejects_representatives_that_share_a_point_name(tmp_path):
     assert code == 0 and err == "" and "classes 2" in out
 
 
+def test_target_out_that_cannot_be_opened_exits_one_with_one_line(tmp_path):
+    # A missing parent directory and a directory in place of the file.
+    for path, code in ((tmp_path / "no" / "such" / "x.pcat", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        for argv in (["globalize"], ["globalize", "--json"]):
+            got = run_cli([*argv, "--target-out", str(path), fx("arrow_small")])
+            assert got == (1, "", f"--target-out: {path}: {os.strerror(code)}\n"), argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_checks_the_file_before_the_randomized_suites(monkeypatch, tmp_path):
     import pcat.cli
 
@@ -536,3 +548,52 @@ def test_each_command_checks_the_axioms_once_per_action(monkeypatch, tmp_path):
             "check_category_axioms": actions,
             "check_groupoid_axioms": 0,
         }, (argv, got)
+
+
+def test_each_command_builds_each_category_fact_once(monkeypatch, tmp_path):
+    # The composite index, the inverse map and the validation report are
+    # cached on the Category: each command builds each at most once per
+    # category object, and nothing calls is_groupoid around the cache.
+    import pcat.category
+
+    built = []
+    for name in ("after", "inverse", "validation"):
+        fn = vars(Category)[name].func
+
+        def counted(self, _fn=fn, _name=name):
+            built.append((_name, self))
+            return _fn(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Category, name)
+        monkeypatch.setattr(Category, name, prop)
+    inverse_of = pcat.category.is_groupoid
+
+    def is_groupoid(cat):
+        built.append(("is_groupoid", cat))
+        return inverse_of(cat)
+
+    monkeypatch.setattr(pcat.category, "is_groupoid", is_groupoid)
+
+    target_out = str(tmp_path / "quotient.pcat")
+    target = fx("arrow_small_target")
+    argvs = []
+    for stem in STEMS + ("arrow_small_topo", "arrow_small_nonopen"):
+        argvs += [
+            ["validate", fx(stem)],
+            ["globalize", fx(stem)],
+            ["globalize", "--json", "--target-out", target_out, fx(stem)],
+            ["mediate", fx(stem), "--target", target],
+            ["topo", fx(stem)],
+            ["topo", fx(stem), "--target", target],
+        ]
+    kinds = set()
+    for argv in argvs:
+        built.clear()
+        run_cli(argv)
+        per_object = {}
+        for name, cat in built:
+            per_object[name, id(cat)] = per_object.get((name, id(cat)), 0) + 1
+            kinds.add(name)
+        assert max(per_object.values(), default=0) <= 1, (argv, per_object)
+    assert kinds == {"after", "inverse", "is_groupoid", "validation"}

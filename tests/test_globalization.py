@@ -22,13 +22,11 @@ from pcat import (
     enumerate_globalizations,
     equiv_closure,
     induces_source,
-    is_groupoid,
     mediating,
     mediating_candidates,
     parse,
 )
 from pcat import globalization
-from pcat.action import composites_after
 from pcat.category import Category, ValidationReport, validate_category
 from pcat.fixtures import FIXTURES, arrow_category
 from pcat.globalization import (
@@ -162,9 +160,8 @@ def _assert_quotient_is_global(cat, act):
     quotient = glob.as_action()
     assert check_category_axioms(cat, quotient).witnesses == glob.axioms.witnesses
     assert glob.axioms.all_pass
-    wit = is_groupoid(cat)
-    if wit:
-        assert check_groupoid_axioms(cat, wit, quotient).all_pass
+    if cat.inverse is not None:
+        assert check_groupoid_axioms(cat, quotient).all_pass
     return glob
 
 
@@ -346,9 +343,8 @@ def test_enumerate_receivers_are_global_extensions():
 
 def test_enumerate_groupoid_receivers_act_bijectively():
     cat, act = load("iso_fixed")
-    wit = is_groupoid(cat)
     for target, _ in enumerate_globalizations(cat, act, 4):
-        assert check_groupoid_axioms(cat, wit, target).all_pass
+        assert check_groupoid_axioms(cat, target).all_pass
         for g in cat.morphisms:
             steps = {x: y for (m, x), y in target.table.items() if m == g}
             assert len(set(steps.values())) == len(steps), g
@@ -601,9 +597,8 @@ def test_noninjective_mediation_without_definedness_reflection():
     # undefined.  The mediating map then folds a fresh class onto an
     # embedded one even though the embedding into this receiver is injective.
     cat, act, recv = _three_cycle_receiver()
-    wit = is_groupoid(cat)
     assert check_category_axioms(cat, recv).all_pass
-    assert check_groupoid_axioms(cat, wit, recv).all_pass
+    assert check_groupoid_axioms(cat, recv).all_pass
     j = {x: x for x in act.carrier}
     assert check_g_function(j, act, recv).ok
     assert induces_source(cat, act, recv, j).witnesses == (
@@ -638,9 +633,8 @@ def test_noninjective_mediation_even_with_definedness_reflection():
     # (no extra defined steps land back on them), yet the mediating map sends
     # two distinct fresh classes to the same fresh point.
     cat, act, recv = _carousel_receiver()
-    wit = is_groupoid(cat)
     assert check_category_axioms(cat, recv).all_pass
-    assert check_groupoid_axioms(cat, wit, recv).all_pass
+    assert check_groupoid_axioms(cat, recv).all_pass
     j = {x: x for x in act.carrier}
     assert check_g_function(j, act, recv).ok
     assert induces_source(cat, act, recv, j).ok
@@ -666,8 +660,8 @@ def test_mediation_between_quotients_is_bijective():
 
 def _reference_quotient_action(cat, classes, class_of):
     """The quotient action as the member-by-member loop built it before the
-    class-invariance audit compared whole vectors; kept verbatim."""
-    after = composites_after(cat)
+    class-invariance audit compared whole vectors, over the composite index."""
+    after = cat.after
     action = {}
     for cls in classes:
         rep = cls[0]
@@ -697,7 +691,7 @@ def test_one_step_streams_only_pairs_c3_does_not_imply():
                 full_pairs += 1
                 open_pairs += moving and (g, y) not in t
     links = sum(max(sum((e, x) in t for e in cat.objects) - 1, 0) for x in act.carrier)
-    pairs = list(globalization._one_step(cat, act, composites_after(cat)))
+    pairs = list(globalization._one_step(cat, act))
     assert len(pairs) == steps + open_pairs + links
     assert len(pairs) * 3 < full_pairs + links
     # Every streamed pair is a generating pair of the relation.
@@ -711,14 +705,14 @@ def test_one_step_stream_has_no_reflexive_pair():
     fixed_points = 0
     for cat, act in _globalizable_cases(5, 500):
         t = act.table
-        after = composites_after(cat)
+        after = cat.after
         fixed_points += sum(
             k == g and (g, x) not in t
             for (h, x), y in t.items()
             if h not in cat.objects and x == y
             for g, k in after.get(h, ())
         )
-        assert not [a for a, b in globalization._one_step(cat, act, after) if a == b]
+        assert not [a for a, b in globalization._one_step(cat, act) if a == b]
     assert fixed_points > 0
 
 
@@ -769,13 +763,13 @@ def test_sabotaged_closure_is_caught_whatever_the_composite_insertion_order(monk
     # Z3 with its composites inserted so that the g after e come as e, m1, m2
     # and the g after m1 as m2, e, m1.  Listed in those orders, (e, 1) and
     # (m1, 1) in the merged class below would give equal vectors that are
-    # different maps; composites_after lists both in sorted order.
+    # different maps; the composite index lists both in sorted order.
     z3 = group_category("z3")
     order = [("e", "e"), ("m1", "e"), ("m2", "e"), ("m2", "m1"), ("e", "m1"), ("m1", "m1")]
     comp = {key: z3.comp[key] for key in order}
     comp.update(z3.comp)
     cat = Category(z3.objects, z3.morphisms, z3.dom, z3.cod, comp)
-    after = composites_after(cat)
+    after = cat.after
     assert [g for g, _ in after["e"]] == [g for g, _ in after["m1"]] == ["e", "m1", "m2"]
     act = PartialAction(("1", "2"), {("e", "1"): "1", ("e", "2"): "2"})
     merged = (

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -17,8 +18,9 @@ from pcat import (
     validate_category,
     validate_topology,
 )
-from pcat.category import composable_pairs
-from pcat.fixtures import FIXTURES
+from pcat import oracle
+from pcat.category import Category, composable_pairs
+from pcat.fixtures import FIXTURES, arrow_category, iso_groupoid
 from pcat.oracle import (
     _relabel_as_extension,
     chain_category,
@@ -53,8 +55,8 @@ def test_group_category_structure():
     assert z3.comp[("m1", "m1")] == "m2"
     assert z3.comp[("m1", "m2")] == "e"
     assert validate_category(z3).ok
-    wit = is_groupoid(z3)
-    assert wit and wit.inverse == {"e": "e", "m1": "m2", "m2": "m1"}
+    assert is_groupoid(z3) == {"e": "e", "m1": "m2", "m2": "m1"}
+    assert z3.inverse == is_groupoid(z3)
 
 
 def test_connected_groupoid_structure():
@@ -150,23 +152,27 @@ def test_random_topology_is_valid():
 
 def test_direct_one_object_checkers():
     z2 = group_category("z2")
-    wit = is_groupoid(z2)
     total = {("e", "0"): "0", ("e", "1"): "1", ("m1", "0"): "1", ("m1", "1"): "0"}
     from pcat import PartialAction
 
     act = PartialAction.make(("0", "1"), total)
-    assert group_axioms_direct(z2, wit, act)
+    assert group_axioms_direct(z2, act)
     assert monoid_axioms_direct(z2, act)
-    assert check_groupoid_axioms(z2, wit, act).all_pass
+    assert check_groupoid_axioms(z2, act).all_pass
 
     broken = PartialAction.make(("0", "1"), {**total, ("m1", "1"): "1"})
-    assert not group_axioms_direct(z2, wit, broken)
+    assert not group_axioms_direct(z2, broken)
 
     partial = PartialAction.make(
         ("0", "1"), {("e", "0"): "0", ("e", "1"): "1", ("m1", "0"): "1"}
     )
-    assert not group_axioms_direct(z2, wit, partial)
+    assert not group_axioms_direct(z2, partial)
     assert not monoid_axioms_direct(z2, partial)
+
+    idempotent = Category.make(["e"], {"z": ("e", "e")}, {("z", "z"): "z"})
+    assert monoid_axioms_direct(idempotent, PartialAction.make(("0",), {("e", "0"): "0"}))
+    with pytest.raises(ValueError, match="one-object groupoid"):
+        group_axioms_direct(idempotent, PartialAction.make(("0",), {("e", "0"): "0"}))
 
 
 def test_closure_suite_passes_and_detects_sabotage():
@@ -237,6 +243,49 @@ def test_scenario_suite_on_fixture():
     sc = parse(fixture_text("arrow_small"))
     res = suite_scenario(sc.category, sc.action, 4)
     assert res.ok and res.cases > 0
+
+
+def test_scenario_suite_checks_the_classes_the_construction_ships(monkeypatch):
+    # A construction whose classes split its largest one into singletons
+    # must fail the closure cross-check, which compares the shipped classes
+    # with the naive closure of the full one-step relation.
+    cat, act = FIXTURES["iso_shift"]()
+    assert suite_scenario(cat, act, 4).ok
+
+    def split_largest(cat, act):
+        glob = build_globalization(cat, act)
+        big = max(glob.classes, key=len)
+        assert len(big) > 1
+        rest = [c for c in glob.classes if c != big]
+        return dataclasses.replace(glob, classes=tuple(sorted(rest + [(m,) for m in big])))
+
+    monkeypatch.setattr(oracle, "build_globalization", split_largest)
+    assert "closures disagree" in suite_scenario(cat, act, 4).failures
+
+
+def test_run_oracle_validates_each_category_at_most_once(monkeypatch):
+    # Library categories are built once per process and cache their
+    # validation report, so the sweep checks each distinct category once.
+    import pcat.category
+
+    for build in (group_category, connected_groupoid, chain_category, arrow_category, iso_groupoid):
+        build.cache_clear()
+    seen = {}
+    validate = pcat.category.validate_category
+
+    def counted(cat):
+        key = (cat.objects, cat.morphisms, tuple(sorted(cat.comp.items())))
+        seen[key] = seen.get(key, 0) + 1
+        return validate(cat)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pcat" or name.startswith("pcat."):
+            for attr, value in list(vars(module).items()):
+                if value is validate:
+                    monkeypatch.setattr(module, attr, counted)
+    results = run_oracle(1729, 6)
+    assert [s.cases for s in results[:3]] == [504, 1000, 5528]
+    assert seen and max(seen.values()) == 1, sorted(seen.values())
 
 
 def test_run_oracle_suite_names_and_reproducibility():
