@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Any, Mapping, Optional
 
-from .category import Category, composable_pairs
+from .category import Category
 
 Pt = Any
 
@@ -60,6 +60,19 @@ class AxiomReport:
 
     def verdicts(self) -> dict[str, bool]:
         return {a: not w for a, w in self.witnesses.items()}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one named check with its failure witnesses; it passes iff
+    there are none."""
+
+    name: str
+    witnesses: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.witnesses
 
 
 _UNDEF = object()
@@ -321,7 +334,7 @@ def check_triple_axioms(cat: Category, t: TripleForm) -> AxiomReport:
             c2.append((g, x))
 
     c3: list[tuple] = []
-    for (g, h) in sorted(composable_pairs(cat)):
+    for (g, h) in cat.composable:
         k = cat.comp.get((g, h))
         if k is None:
             continue
@@ -342,7 +355,7 @@ def check_triple_axioms(cat: Category, t: TripleForm) -> AxiomReport:
     inverse = cat.inverse
     if inverse is not None:
         gr3: list[tuple] = []
-        for (g, h) in sorted(composable_pairs(cat)):
+        for (g, h) in cat.composable:
             k = cat.comp.get((g, h))
             if k is None:
                 continue
@@ -399,7 +412,7 @@ def functor_violations(cat: Category, f: SetFunctor) -> tuple[str, ...]:
         for x, y in f.maps.get(e, {}).items():
             if y != x:
                 out.append(f"map for identity {e} moves {x}")
-    for (g, h) in sorted(composable_pairs(cat)):
+    for (g, h) in cat.composable:
         k = cat.comp.get((g, h))
         if k is None or g not in f.maps or h not in f.maps or k not in f.maps:
             continue

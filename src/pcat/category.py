@@ -19,9 +19,10 @@ class Category:
 
     Construction performs no law checking.  Facts derived from the tables
     are cached properties, each computed on first use: ``validation`` (the
-    :func:`validate_category` report), ``after`` (the composite index) and
-    ``inverse`` (the :func:`is_groupoid` map).  Library categories are
-    shared between callers, so these are read-only by contract.
+    :func:`validate_category` report), ``composable`` (the pairs where "g
+    after h" exists), ``after`` (the composite index) and ``inverse`` (the
+    :func:`is_groupoid` map).  Library categories are shared between
+    callers, so these are read-only by contract.
     """
 
     objects: tuple[str, ...]
@@ -69,6 +70,18 @@ class Category:
         return validate_category(self)
 
     @cached_property
+    def composable(self) -> tuple[tuple[str, str], ...]:
+        """All pairs (g, h) with dom g == cod h, sorted.  Read from ``dom`` and
+        ``cod`` alone, so an unlawful category has them too."""
+        mors = set(self.morphisms)
+        into: dict[str, list[str]] = {}
+        for h in mors:
+            c = self.cod.get(h)
+            if c is not None:
+                into.setdefault(c, []).append(h)
+        return tuple(sorted((g, h) for g in mors for h in into.get(self.dom.get(g), ())))
+
+    @cached_property
     def after(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
         """Each morphism h indexed to the pairs (g, g h) over its composable g,
         in sorted order of g.  In a lawful category every h over one codomain
@@ -108,16 +121,6 @@ class ValidationReport:
         return tuple(sorted({v.kind for v in self.violations}))
 
 
-def composable_pairs(cat: Category) -> set[tuple[str, str]]:
-    """All pairs (g, h) with dom(g) == cod(h), i.e. where "g after h" exists."""
-    return {
-        (g, h)
-        for g in cat.morphisms
-        for h in cat.morphisms
-        if cat.dom.get(g) is not None and cat.dom.get(g) == cat.cod.get(h)
-    }
-
-
 def validate_category(cat: Category) -> ValidationReport:
     """Check every category law on the explicit tables.
 
@@ -142,7 +145,7 @@ def validate_category(cat: Category) -> ValidationReport:
         if cat.dom.get(o) != o or cat.cod.get(o) != o:
             out.append(Violation("bad_identity_span", (o,), f"identity {o} must have dom = cod = {o}"))
 
-    pairs = composable_pairs(cat)
+    pairs = set(cat.composable)
     for (g, h), k in sorted(cat.comp.items()):
         if g not in mors or h not in mors:
             out.append(Violation("comp_unknown_key", (g, h), f"composite keyed by unknown morphism"))
@@ -155,7 +158,7 @@ def validate_category(cat: Category) -> ValidationReport:
             continue
         if cat.dom.get(k) != cat.dom.get(h) or cat.cod.get(k) != cat.cod.get(g):
             out.append(Violation("comp_bad_span", (g, h, k), f"{g} after {h} = {k} has wrong dom/cod"))
-    for (g, h) in sorted(pairs):
+    for (g, h) in cat.composable:
         if (g, h) not in cat.comp:
             out.append(Violation("missing_comp", (g, h), f"no composite declared for {g} after {h}"))
 
@@ -169,7 +172,7 @@ def validate_category(cat: Category) -> ValidationReport:
     into: dict[Optional[str], list[str]] = {}
     for k in cat.morphisms:
         into.setdefault(cat.cod.get(k), []).append(k)
-    for (g, h) in sorted(pairs):
+    for (g, h) in cat.composable:
         gh = cat.comp.get((g, h))
         if gh is None:
             continue

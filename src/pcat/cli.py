@@ -12,8 +12,8 @@ import functools
 import sys
 
 from .action import check_category_axioms, groupoid_report
-from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize, witness_text
-from .dsl import _axiom_report_json, _validation_json, to_json
+from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize
+from .dsl import _axiom_report_json, _validation_json, check_json, check_line, to_json
 from .globalization import (
     AxiomError,
     MediationError,
@@ -79,42 +79,17 @@ def _emit(obj, as_json: bool) -> None:
     sys.stdout.write(serialize(obj, "json" if as_json else "text"))
 
 
-def _jnorm(value):
-    """Make witness payloads JSON-friendly: tuples/sets become sorted lists."""
-    if isinstance(value, (tuple, list)):
-        return [_jnorm(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted((_jnorm(v) for v in value), key=str)
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _check_line(name: str, witnesses) -> str:
-    if witnesses:
-        return f"{name} fail {witness_text(tuple(witnesses))}"
-    return f"{name} pass"
-
-
 def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> None:
     """Print the named ``topo`` checks; ``opens`` is None when no quotient was built."""
     if as_json:
-        payload = {
-            "checks": {
-                name.replace(" ", "_"): {
-                    "pass": not wit,
-                    "witnesses": _jnorm(tuple(wit)),
-                }
-                for name, wit in checks
-            },
-            "ok": ok,
-        }
+        checks_json = {name.replace(" ", "_"): check_json(wit) for name, wit in checks}
+        payload = {"checks": checks_json, "ok": ok}
         if opens is not None:
             payload["quotient_opens"] = opens
         sys.stdout.write(to_json(payload))
     else:
         for name, wit in checks:
-            print(_check_line(name, wit))
+            print(check_line(name, wit))
         if opens is not None:
             print(f"quotient opens {opens}")
 
@@ -221,9 +196,9 @@ def cmd_topo(args) -> int:
     checks: list[tuple[str, tuple]] = []
     ok_required = True
     for label, top in (("topology mor", scn.top_mor), ("topology space", scn.top_space)):
-        violations = () if top is None else validate_topology(top).violations
-        checks.append((label, violations))
-        ok_required = ok_required and not violations
+        witnesses = () if top is None else validate_topology(top).witnesses
+        checks.append((label, witnesses))
+        ok_required = ok_required and not witnesses
     if not ok_required:
         _topo_report(checks, False, args.json)
         return 1
@@ -247,9 +222,9 @@ def cmd_topo(args) -> int:
             print("note: no target carrier topology given; defaulting to discrete", file=sys.stderr)
             t_top = Space.discrete(tgt.action.carrier)
         else:
-            violations = validate_topology(t_top).violations
-            if violations:
-                print(_check_line("target topology space", violations), file=sys.stderr)
+            verdict = validate_topology(t_top)
+            if not verdict.ok:
+                print(check_line("target topology space", verdict.witnesses), file=sys.stderr)
                 return 1
         target = (tgt.action, t_top, tgt.gfun)
 

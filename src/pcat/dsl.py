@@ -472,23 +472,30 @@ def witness_text(witnesses) -> str:
     return " ".join(_witness(w) for w in witnesses[:8])
 
 
+def _witness_json(w):
+    if isinstance(w, tuple):
+        return [_witness_json(p) for p in w]
+    return _pt(w)
+
+
+def check_line(name: str, witnesses) -> str:
+    """One named check as a line: ``name pass``, or ``name fail`` and its
+    :func:`witness_text`."""
+    return f"{name} fail {witness_text(witnesses)}" if witnesses else f"{name} pass"
+
+
+def check_json(witnesses) -> dict:
+    """One check's JSON form: its verdict and every witness, with tuples,
+    nested ones too, written as lists of bare identifiers."""
+    return {"pass": not witnesses, "witnesses": [_witness_json(w) for w in witnesses]}
+
+
 def _axiom_report_text(rep: AxiomReport) -> str:
-    out = []
-    for a, wit in rep.witnesses.items():
-        if wit:
-            out.append(f"axioms {a} fail {witness_text(wit)}")
-        else:
-            out.append(f"axioms {a} pass")
-    return "\n".join(out) + "\n"
+    return "\n".join(check_line(f"axioms {a}", wit) for a, wit in rep.witnesses.items()) + "\n"
 
 
 def _axiom_report_json(rep: AxiomReport) -> dict:
-    return {
-        "axioms": {
-            a: {"pass": not wit, "witnesses": [[_pt(p) for p in w] for w in wit]}
-            for a, wit in rep.witnesses.items()
-        }
-    }
+    return {"axioms": {a: check_json(wit) for a, wit in rep.witnesses.items()}}
 
 
 def _validation_text(rep: ValidationReport) -> str:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .category import Category
-from .action import AxiomReport, PartialAction, check_category_axioms
+from .action import AxiomReport, PartialAction, Verdict, check_category_axioms
 
 Pt = Any
 El = tuple[str, Pt]
@@ -359,18 +359,7 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     return Globalization(cat, act, xbar, classes, class_of, action, embed, _GLOBAL)
 
 
-@dataclass(frozen=True)
-class GFunctionReport:
-    """Equivariance failures of a map between actions over one category."""
-
-    witnesses: tuple[tuple, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.witnesses
-
-
-def check_g_function(f: Mapping, source: PartialAction, target: PartialAction) -> GFunctionReport:
+def check_g_function(f: Mapping, source: PartialAction, target: PartialAction) -> Verdict:
     """Check equivariance: every defined source step maps to a defined target step.
 
     Witnesses are the sorted (morphism, point) pairs where the image step is
@@ -383,21 +372,12 @@ def check_g_function(f: Mapping, source: PartialAction, target: PartialAction) -
         raise ValueError("map leaves the target carrier")
     tt = target.table
     bad = [key for key, y in source.table.items() if tt.get((key[0], f[key[1]])) != f[y]]
-    return GFunctionReport(tuple(sorted(bad)))
-
-
-@dataclass(frozen=True)
-class InducedReport:
-    witnesses: tuple[tuple, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.witnesses
+    return Verdict("g_function", tuple(sorted(bad)))
 
 
 def induces_source(
     cat: Category, source: PartialAction, target: PartialAction, j: Mapping
-) -> InducedReport:
+) -> Verdict:
     """Check that the target action restricted to the image of ``j`` is the source.
 
     Beyond equivariance, definedness must be reflected: whenever a target
@@ -418,7 +398,7 @@ def induces_source(
                     bad.append((g, x))
             elif val is not None and val in image:
                 bad.append((g, x))
-    return InducedReport(tuple(sorted(bad)))
+    return Verdict("induces_source", tuple(sorted(bad)))
 
 
 def mediating(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El, Pt]:

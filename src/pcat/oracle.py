@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .category import Category, composable_pairs
+from .category import Category
 from .action import PartialAction, check_category_axioms, check_groupoid_axioms
 from . import fixtures
 from .globalization import (
@@ -224,7 +224,6 @@ def random_valid_action(
             if rng.random() < density:
                 table[(g, x)] = rng.choice(points)
 
-    pairs = sorted(composable_pairs(cat))
     states = set()
     for _ in range(60):
         # A round is a function of the ordered table: a repeat never settles.
@@ -241,7 +240,7 @@ def random_valid_action(
             if (cat.dom[g], x) not in table:
                 table[(cat.dom[g], x)] = x
                 changed = True
-        for (g, h) in pairs:
+        for (g, h) in cat.composable:
             k = cat.comp[(g, h)]
             for x in points:
                 if (h, x) not in table:
@@ -443,6 +442,24 @@ def _relabel_as_extension(glob) -> PartialAction:
     return PartialAction(carrier, table)
 
 
+def _receiver_bound(classes: int, carrier: int, max_size: Optional[int]) -> int:
+    """The largest receiver carrier a sweep enumerates: one point past the
+    quotient, capped by ``max_size`` when given, and never below the source
+    carrier, which every receiver contains."""
+    top = classes + 1 if max_size is None else min(classes + 1, max_size)
+    return max(top, carrier)
+
+
+def _factorization_failure(glob, target: PartialAction, j) -> Optional[str]:
+    """None when the mediating map is the only equivariant extension of ``j``
+    into ``target``, else the failure line."""
+    k = _mediate(glob, target, j)
+    cands = mediating_candidates(glob, target, j)
+    if len(cands) != 1 or cands[0] != k:
+        return f"receiver admits {len(cands)} factorizations"
+    return None
+
+
 def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
     """Every enumerated receiver admits exactly one equivariant factorization.
 
@@ -456,10 +473,7 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
     for name, make in fixtures.FIXTURES.items():
         cat, act = make()
         glob = build_globalization(cat, act)
-        bound = len(glob.classes) + 1
-        if max_size is not None:
-            bound = min(bound, max_size)
-        bound = max(bound, len(act.carrier))
+        bound = _receiver_bound(len(glob.classes), len(act.carrier), max_size)
         targets = enumerate_globalizations(cat, act, bound)
         y_relabeled = _relabel_as_extension(glob)
         base = set(act.carrier)
@@ -478,10 +492,9 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
             failures.append(f"{name}: mediating map onto the quotient itself is not bijective")
         for target, j in targets:
             ran += 1
-            k = _mediate(glob, target, j)
-            cands = mediating_candidates(glob, target, j)
-            if len(cands) != 1 or cands[0] != k:
-                failures.append(f"{name}: receiver admits {len(cands)} factorizations")
+            failure = _factorization_failure(glob, target, j)
+            if failure:
+                failures.append(f"{name}: {failure}")
     return SuiteResult("universality", ran, tuple(failures))
 
 
@@ -525,9 +538,7 @@ def suite_groupoid_injectivity(
         if len(glob.classes) > 7:
             continue
         produced += 1
-        bound = min(8, max(len(glob.classes) + 1, len(act.carrier)))
-        if max_size is not None:
-            bound = min(bound, max(max_size, len(act.carrier)))
+        bound = _receiver_bound(len(glob.classes), len(act.carrier), max_size)
         for target, j in enumerate_globalizations(cat, act, bound):
             if not induces_source(cat, act, target, j).ok:
                 continue
@@ -599,20 +610,20 @@ def suite_scenario(cat: Category, act: PartialAction, max_size: int) -> SuiteRes
 
     The classes the construction built from its generating subset of the
     one-step relation must equal the naive closure of the full relation.
-    Raises the same axiom error as the construction when C1-C3 fail."""
+    ``max_size`` is the CLI's receiver bound, from 1 to 8.  Raises the same
+    axiom error as the construction when C1-C3 fail."""
     failures = []
     glob = build_globalization(cat, act)
     cases = 1
     if glob.classes != naive_closure(glob.xbar, sim_pairs(cat, act, glob.xbar)):
         failures.append("closures disagree")
     if len(act.carrier) <= 8:
-        bound = min(8, max(min(max_size, len(glob.classes) + 1), len(act.carrier), 1))
+        bound = _receiver_bound(len(glob.classes), len(act.carrier), max_size)
         for target, j in enumerate_globalizations(cat, act, bound):
             cases += 1
-            k = _mediate(glob, target, j)
-            cands = mediating_candidates(glob, target, j)
-            if len(cands) != 1 or cands[0] != k:
-                failures.append(f"receiver admits {len(cands)} factorizations")
+            failure = _factorization_failure(glob, target, j)
+            if failure:
+                failures.append(failure)
     return SuiteResult("scenario", cases, tuple(failures))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
 from .category import Category
-from .action import PartialAction
+from .action import PartialAction, Verdict
 from .globalization import Globalization, mediating
 
 Pt = Any
@@ -54,18 +54,7 @@ def _skey(x):
     return (str(type(x)), str(x))
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    """Closure failures of a would-be topology; empty means valid."""
-
-    violations: tuple[tuple, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_topology(t: FiniteTopology) -> TopologyReport:
+def validate_topology(t: FiniteTopology) -> Verdict:
     """Check the finite topology laws on the explicit family.
 
     Witnesses are ("missing_empty",), ("missing_total",), or
@@ -85,7 +74,7 @@ def validate_topology(t: FiniteTopology) -> TopologyReport:
             bad.append(("union", tuple(sorted(a, key=_skey)), tuple(sorted(b, key=_skey))))
         if a & b not in t.opens:
             bad.append(("intersection", tuple(sorted(a, key=_skey)), tuple(sorted(b, key=_skey))))
-    return TopologyReport(tuple(bad))
+    return Verdict("topology", tuple(bad))
 
 
 class Space:
@@ -228,18 +217,6 @@ class Space:
 
 
 Topology = Union[FiniteTopology, Space]
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one topological check with its failure witnesses."""
-
-    name: str
-    witnesses: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.witnesses
 
 
 def _discontinuities(f: Mapping, near, cod: Space, points) -> tuple:

@@ -21,7 +21,7 @@ import random
 from typing import Mapping, Optional
 
 from pcat.action import PartialAction, check_category_axioms
-from pcat.category import Category, composable_pairs, is_groupoid
+from pcat.category import Category, is_groupoid
 from pcat.globalization import (
     Globalization,
     Pt,
@@ -118,7 +118,7 @@ def enumerate_globalizations(
                 for add in itertools.combinations(extras, r):
                     opts.append(base | set(add))
             obj_opts.append(opts)
-        pairs = sorted(composable_pairs(cat))
+        pairs = cat.composable
         non_id = sorted(m for m in cat.morphisms if m not in cat.objects)
         for choice in itertools.product(*obj_opts):
             sets = dict(zip(cat.objects, choice))
@@ -198,7 +198,7 @@ def random_valid_action(
             if rng.random() < density:
                 table[(g, x)] = rng.choice(points)
 
-    pairs = sorted(composable_pairs(cat))
+    pairs = cat.composable
     for _ in range(max_rounds):
         changed = False
         for (f, x), v in list(table.items()):

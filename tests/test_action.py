@@ -24,7 +24,6 @@ from pcat import (
 )
 
 from pcat.action import groupoid_report
-from pcat.category import composable_pairs
 from pcat.fixtures import FIXTURES
 from pcat.oracle import (
     chain_category,
@@ -312,7 +311,7 @@ def _c3_gr3_pair_major(cat, act):
     """Reference C3 and GR3 witnesses: every composable pair, then every point."""
     t = act.table
     c3, gr3 = [], []
-    for (g, h) in sorted(composable_pairs(cat)):
+    for (g, h) in cat.composable:
         k = cat.comp[(g, h)]
         for x in act.carrier:
             if (h, x) not in t:

@@ -4,7 +4,6 @@ import pytest
 
 from pcat import (
     Category,
-    composable_pairs,
     is_groupoid,
     validate_category,
 )
@@ -34,7 +33,17 @@ def test_make_rejects_conflicting_identity_composite():
 
 def test_composable_pairs_arrow():
     cat = arrow_category()
-    assert composable_pairs(cat) == {("e", "e"), ("f", "f"), ("g", "e"), ("f", "g")}
+    assert cat.composable == (("e", "e"), ("f", "f"), ("f", "g"), ("g", "e"))
+    assert cat.composable is cat.composable
+
+
+def test_composable_pairs_come_from_dom_and_cod_on_an_unlawful_category():
+    # No composite is declared, so validation must still know which are missing.
+    dom, cod = {"e": "e", "f": "f", "g": "e"}, {"e": "e", "f": "f", "g": "f"}
+    cat = Category(("e", "f"), ("e", "f", "g"), dom, cod, {})
+    assert cat.composable == (("e", "e"), ("f", "f"), ("f", "g"), ("g", "e"))
+    missing = [v.subject for v in cat.validation.violations if v.kind == "missing_comp"]
+    assert missing == list(cat.composable)
 
 
 def test_compose_lookup():

@@ -387,6 +387,105 @@ def test_topo_json_reports_an_invalid_source_topology(tmp_path):
     }
 
 
+# Z2 acting trivially on one point, with the indiscrete topology on Z2: the
+# graph {e, m1} x {1} of the action is not open in the product, so the
+# open-embedding theorem does not apply, and its conclusion fails here.
+NOT_GRAPH_OPEN = """category c
+  object e
+  mor m1 : e -> e
+  comp m1 . m1 = e
+end
+action a
+  point 1
+  act e 1 = 1
+end
+topology mor
+  open e m1
+end
+topology space
+  open 1
+end
+"""
+
+
+def test_topo_does_not_require_an_open_embedding_without_its_hypotheses(tmp_path):
+    src = tmp_path / "not_graph_open.pcat"
+    src.write_text(NOT_GRAPH_OPEN)
+    code, out, err = run_cli(["topo", str(src)])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "topology mor pass",
+        "topology space pass",
+        "continuity comp pass",
+        "continuity CA1 pass",
+        "continuity CA2 pass",
+        "star-open pass",
+        "graph-open fail (e,1)",
+        "embedding continuous pass",
+        "action continuous pass",
+        "embedding open fail 1",
+        "quotient opens 2",
+    ]
+    code, out, err = run_cli(["topo", "--json", str(src)])
+    data = json.loads(out)
+    assert code == 0 and data["ok"] is True
+    assert data["checks"]["embedding_open"] == {"pass": False, "witnesses": ["1"]}
+
+
+# Two points that the carrier topology cannot tell apart, under one object.
+# The quotient is the carrier itself, so the mediating map into the discrete
+# copy of it is the identity on an indiscrete space: the only failing check.
+INDISCRETE_PAIR = """category c
+  object e
+end
+action a
+  point 1 2
+  act e 1 = 1
+  act e 2 = 2
+end
+topology mor
+  open e
+end
+topology space
+  open 1 2
+end
+"""
+
+DISCRETE_PAIR_TARGET = """category c
+  object e
+end
+action a_global
+  point e__1 e__2
+  act e e__1 = e__1
+  act e e__2 = e__2
+end
+gfun 1 = e__1
+gfun 2 = e__2
+topology space
+  open e__1
+  open e__2
+  open e__1 e__2
+end
+"""
+
+
+def test_topo_target_requires_a_continuous_mediating_map(tmp_path):
+    src, target = tmp_path / "pair.pcat", tmp_path / "target.pcat"
+    src.write_text(INDISCRETE_PAIR)
+    target.write_text(DISCRETE_PAIR_TARGET)
+    code, out, err = run_cli(["topo", str(src)])
+    assert code == 0 and err == ""
+    code, out, err = run_cli(["topo", str(src), "--target", str(target)])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [l for l in lines if " fail " in l] == ["mediating continuous fail (e,1) (e,2)"]
+    assert lines[-2:] == ["mediating continuous fail (e,1) (e,2)", "quotient opens 2"] and len(lines) == 12
+    code, out, err = run_cli(["topo", "--json", str(src), "--target", str(target)])
+    data = json.loads(out)
+    assert code == 1 and data["ok"] is False
+    assert [name for name, check in data["checks"].items() if not check["pass"]] == ["mediating_continuous"]
+
+
 def test_mediate_requires_gfun(tmp_path):
     target = tmp_path / "target.pcat"
     text = fixture_text("arrow_small_target")

@@ -20,6 +20,7 @@ from pcat import (
     validate_category,
 )
 from pcat.dsl import to_json
+from pcat.fixtures import arrow_small
 from pcat.oracle import group_category
 
 from conftest import FIXTURE_DIR, fixture_text
@@ -423,6 +424,18 @@ def test_axiom_report_text_and_witness_cap():
     assert data["axioms"]["C4"] == {"pass": False, "witnesses": [["g", "1"]]}
     full = json.loads(serialize(many, fmt="json"))
     assert len(full["axioms"]["C1"]["witnesses"]) == 12
+
+
+def test_axiom_report_json_writes_tuple_points_as_lists():
+    # The quotient's points are class representatives (g, x); a report on an
+    # action over them writes each as a list, as the globalization JSON does.
+    glob = build_globalization(*arrow_small())
+    act = glob.as_action()
+    table = {key: y for key, y in act.table.items() if key != ("g", ("e", "1"))}
+    rep = check_category_axioms(glob.category, PartialAction(act.carrier, table))
+    assert serialize(rep).splitlines()[-1] == "axioms C4 fail (g,(e,1))"
+    data = json.loads(serialize(rep, fmt="json"))
+    assert data["axioms"]["C4"] == {"pass": False, "witnesses": [["g", ["e", "1"]]]}
 
 
 def test_validation_report_text():

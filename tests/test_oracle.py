@@ -1,8 +1,10 @@
 """Tests for the randomized cross-check suites and their generators."""
 
 import dataclasses
+import functools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -19,7 +21,7 @@ from pcat import (
     validate_topology,
 )
 from pcat import oracle
-from pcat.category import Category, composable_pairs
+from pcat.category import Category
 from pcat.fixtures import FIXTURES, arrow_category, iso_groupoid
 from pcat.oracle import (
     _relabel_as_extension,
@@ -138,7 +140,7 @@ def test_random_valid_action_matches_the_reference_repair_loop():
         assert got == want, (i, cat, points)
         assert got_state == want_state, i
         # The reference reads no more after its last round when it runs out.
-        if want is None and want_reads == 60 * len(composable_pairs(cat)) > got_reads:
+        if want is None and want_reads == 60 * len(cat.composable) > got_reads:
             cycle_stops += 1
     assert cycle_stops > 0
 
@@ -286,6 +288,27 @@ def test_run_oracle_validates_each_category_at_most_once(monkeypatch):
     results = run_oracle(1729, 6)
     assert [s.cases for s in results[:3]] == [504, 1000, 5528]
     assert seen and max(seen.values()) == 1, sorted(seen.values())
+
+
+def test_run_oracle_computes_composable_pairs_at_most_once_per_category(monkeypatch):
+    # The composable pairs are a cached fact of the Category: the generators
+    # and the checkers read it, none recomputes it.
+    for build in (group_category, connected_groupoid, chain_category, arrow_category, iso_groupoid):
+        build.cache_clear()
+    built = []
+    pairs_of = vars(Category)["composable"].func
+
+    def counted(self):
+        built.append(self)
+        return pairs_of(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Category, "composable")
+    monkeypatch.setattr(Category, "composable", prop)
+    results = run_oracle(1729, 6)
+    assert [s.cases for s in results[:3]] == [504, 1000, 5528]
+    counts = Counter(map(id, built))
+    assert counts and max(counts.values()) == 1, sorted(counts.values())
 
 
 def test_run_oracle_suite_names_and_reproducibility():

@@ -49,18 +49,18 @@ def test_validate_topology_positive_and_builders():
 
 def test_validate_topology_negatives():
     t = FiniteTopology.make("12", [set(), {"1"}, {"2"}])
-    assert validate_topology(t).violations == (
+    assert validate_topology(t).witnesses == (
         ("missing_total",),
         ("union", ("1",), ("2",)),
     )
     t = FiniteTopology.make("123", [set(), {"1", "2"}, {"2", "3"}, {"1", "2", "3"}])
-    assert validate_topology(t).violations == (("intersection", ("1", "2"), ("2", "3")),)
+    assert validate_topology(t).witnesses == (("intersection", ("1", "2"), ("2", "3")),)
     t = FiniteTopology(("1", "2"), fs({fs("1"), fs("12")}))
-    assert ("missing_empty",) in validate_topology(t).violations
+    assert ("missing_empty",) in validate_topology(t).witnesses
     t = FiniteTopology.make("12", [set(), {"1"}])
-    assert validate_topology(t).violations == (("missing_total",),)
+    assert validate_topology(t).witnesses == (("missing_total",),)
     t = FiniteTopology(("1", "2"), fs({fs(), fs("12"), fs("13")}))
-    assert ("stray_points", ("3",)) in validate_topology(t).violations
+    assert ("stray_points", ("3",)) in validate_topology(t).witnesses
 
 
 def test_min_nbhd_on_a_chain():
