@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 
-from .action import check_category_axioms, groupoid_report
+from .action import Verdict, check_category_axioms, groupoid_report
 from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize
 from .dsl import _axiom_report_json, _validation_json, check_json, check_line, to_json
 from .globalization import (
@@ -24,7 +24,6 @@ from .oracle import run_oracle, suite_scenario
 from .topology import (
     Space,
     TopScenario,
-    check_topological_category,
     topologize_globalization,
     validate_topology,
 )
@@ -80,16 +79,16 @@ def _emit(obj, as_json: bool) -> None:
 
 
 def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> None:
-    """Print the named ``topo`` checks; ``opens`` is None when no quotient was built."""
+    """Print the ``topo`` verdicts; ``opens`` is None when no quotient was built."""
     if as_json:
-        checks_json = {name.replace(" ", "_"): check_json(wit) for name, wit in checks}
+        checks_json = {v.name.replace(" ", "_"): check_json(v.witnesses) for v in checks}
         payload = {"checks": checks_json, "ok": ok}
         if opens is not None:
             payload["quotient_opens"] = opens
         sys.stdout.write(to_json(payload))
     else:
-        for name, wit in checks:
-            print(check_line(name, wit))
+        for v in checks:
+            print(check_line(v.name, v.witnesses))
         if opens is not None:
             print(f"quotient opens {opens}")
 
@@ -178,87 +177,61 @@ def cmd_mediate(args) -> int:
     return 0
 
 
+def _space(top, carrier) -> Space:
+    """The Space of a validated topology block, or the discrete one when absent."""
+    return Space.discrete(carrier) if top is None else Space.from_topology(top)
+
+
 def cmd_topo(args) -> int:
     scn = _read_scenario(args.file)
     if not _category_ok(scn):
         return 1
 
-    top_mor = scn.top_mor
-    if top_mor is None:
-        print("note: no morphism topology given; defaulting to discrete", file=sys.stderr)
-        top_mor = Space.discrete(scn.category.morphisms)
-    top_space = scn.top_space
-    if top_space is None:
-        print("note: no carrier topology given; defaulting to discrete", file=sys.stderr)
-        top_space = Space.discrete(scn.action.carrier)
-
     # A Space is valid by construction; only families spelled out in the file are checked.
-    checks: list[tuple[str, tuple]] = []
-    ok_required = True
-    for label, top in (("topology mor", scn.top_mor), ("topology space", scn.top_space)):
+    checks = []
+    for kind, what, top in (("mor", "morphism", scn.top_mor), ("space", "carrier", scn.top_space)):
+        if top is None:
+            print(f"note: no {what} topology given; defaulting to discrete", file=sys.stderr)
         witnesses = () if top is None else validate_topology(top).witnesses
-        checks.append((label, witnesses))
-        ok_required = ok_required and not witnesses
-    if not ok_required:
+        checks.append(Verdict(f"topology {kind}", witnesses))
+    if not all(v.ok for v in checks):
         _topo_report(checks, False, args.json)
         return 1
 
     try:
         glob = build_globalization(scn.category, scn.action)
     except AxiomError as exc:
-        sys.stdout.write(serialize(exc.report, "text"))
+        _emit(exc.report, args.json)
         return 1
-
-    tscn = TopScenario(scn.category, scn.action, top_mor, top_space)
-    mcont = check_topological_category(scn.category, top_mor)
 
     target = None
     if args.target:
         tgt = _read_target(args.target, scn)
         if tgt is None:
             return 1
-        t_top = tgt.top_space
-        if t_top is None:
+        if tgt.top_space is None:
             print("note: no target carrier topology given; defaulting to discrete", file=sys.stderr)
-            t_top = Space.discrete(tgt.action.carrier)
         else:
-            verdict = validate_topology(t_top)
+            verdict = validate_topology(tgt.top_space)
             if not verdict.ok:
                 print(check_line("target topology space", verdict.witnesses), file=sys.stderr)
                 return 1
-        target = (tgt.action, t_top, tgt.gfun)
+        target = (tgt.action, _space(tgt.top_space, tgt.action.carrier), tgt.gfun)
 
+    tscn = TopScenario(
+        scn.category,
+        scn.action,
+        _space(scn.top_mor, scn.category.morphisms),
+        _space(scn.top_space, scn.action.carrier),
+    )
     try:
         tg = topologize_globalization(tscn, glob, target)
     except (MediationError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 
-    checks.append(("continuity comp", mcont.witnesses))
-    checks.append(("continuity CA1", tg.ca.ca1_witnesses))
-    checks.append(("continuity CA2", tg.ca.ca2_witnesses))
-    checks.append(("star-open", tg.star.witnesses))
-    checks.append(("graph-open", tg.graph.witnesses))
-    checks.append(("embedding continuous", tg.embed_continuous.witnesses))
-    checks.append(("action continuous", tg.action_continuous.witnesses))
-    checks.append(("embedding open", tg.embed_open.witnesses))
-    if tg.k_continuous is not None:
-        checks.append(("mediating continuous", tg.k_continuous.witnesses))
-
-    required = [
-        not mcont.witnesses,
-        not tg.ca.ca1_witnesses,
-        not tg.ca.ca2_witnesses,
-        not tg.embed_continuous.witnesses,
-        not tg.action_continuous.witnesses,
-    ]
-    if tg.star.ok and tg.graph.ok:
-        required.append(tg.embed_open.ok)
-    if tg.k_continuous is not None:
-        required.append(tg.k_continuous.ok)
-
-    _topo_report(checks, all(required), args.json, tg.top_y.count_opens())
-    return 0 if all(required) else 1
+    _topo_report(checks + list(tg.checks), tg.ok, args.json, tg.top_y.count_opens())
+    return 0 if tg.ok else 1
 
 
 def cmd_oracle(args) -> int:

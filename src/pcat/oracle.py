@@ -35,6 +35,7 @@ from .globalization import (
 )
 from .topology import (
     FiniteTopology,
+    Space,
     TopScenario,
     check_continuous_action,
     check_embedding_open,
@@ -588,13 +589,13 @@ def suite_embedding_open(seed: int, samples: int = 1000) -> tuple[SuiteResult, i
         scn = TopScenario(
             cat,
             act,
-            random_topology(rng, cat.morphisms),
-            random_topology(rng, act.carrier),
+            Space.from_topology(random_topology(rng, cat.morphisms)),
+            Space.from_topology(random_topology(rng, act.carrier)),
         )
-        ca = check_continuous_action(scn)
+        ca1, ca2 = check_continuous_action(scn)
         star = check_star_open(cat, scn.top_mor)
         graph = check_graph_open(scn)
-        if not (ca.ok and star.ok and graph.ok):
+        if not (ca1.ok and ca2.ok and star.ok and graph.ok):
             continue
         hypothesis_passes += 1
         glob = build_globalization(cat, act)

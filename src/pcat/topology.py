@@ -5,17 +5,18 @@ A finite topology is held as the minimal open neighborhood U_x of each point
 quotients have closed forms, and a map f is continuous iff f(U_x) lies in
 U_f(x) for every x, so every verdict is decided point by point.  Explicit
 open families (``FiniteTopology``) appear only where the input spells them
-out, in the DSL's topology blocks, and in the oracles.  Every check accepts
-either form and converts it once.  A failing verdict's witnesses are the
-points its U_x test rejects, sorted, so they never outnumber the verdict's
-domain and no open family is spelled out to find them.
+out, in the DSL's topology blocks, and in the oracles.  Every check takes a
+``Space``; ``Space.from_topology`` converts a validated family.  A failing
+verdict's witnesses are the points its U_x test rejects, sorted, so they
+never outnumber the verdict's domain and no open family is spelled out to
+find them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from .category import Category
 from .action import PartialAction, Verdict
@@ -97,10 +98,6 @@ class Space:
         full = frozenset(t.carrier)
         nbhd = {p: full.intersection(*(u for u in t.opens if p in u)) for p in t.carrier}
         return cls(t.carrier, nbhd)
-
-    @classmethod
-    def of(cls, t: "Topology") -> "Space":
-        return t if isinstance(t, Space) else cls.from_topology(t)
 
     @classmethod
     def discrete(cls, carrier) -> "Space":
@@ -216,9 +213,6 @@ class Space:
         return total
 
 
-Topology = Union[FiniteTopology, Space]
-
-
 def _discontinuities(f: Mapping, near, cod: Space, points) -> tuple:
     """The points x, in the order given, where the partial map ``f`` takes
     some point of U_x within its domain out of U_f(x); ``near(x)`` lists U_x
@@ -226,32 +220,18 @@ def _discontinuities(f: Mapping, near, cod: Space, points) -> tuple:
     return tuple(x for x in points if not all(f[p] in cod.nbhd[f[x]] for p in near(x) if p in f))
 
 
-def check_continuous_partial(f: Mapping, dom_top: Topology, cod_top: Topology) -> Verdict:
-    """Continuity of a partial map on its definedness domain.
-
-    The domain carries the subspace topology; a witness is a point x of the
-    domain with some point of U_x in the domain mapped out of U_f(x).
-    """
-    near = Space.of(dom_top).nbhd.__getitem__
-    return Verdict(
-        "continuous_partial",
-        _discontinuities(f, near, Space.of(cod_top), sorted(f, key=_skey)),
-    )
-
-
 def _product_near(a: Space, b: Space):
     return lambda gx: itertools.product(a.nbhd[gx[0]], b.nbhd[gx[1]])
 
 
-def check_topological_category(cat: Category, top_mor: Topology) -> Verdict:
+def check_topological_category(cat: Category, mor: Space) -> Verdict:
     """Continuity of composition on its domain inside the morphism square.
 
     Witnesses are the composable pairs (g, h) with some composable pair in
     U_g x U_h composing out of U_gh.
     """
-    mor = Space.of(top_mor)
     return Verdict(
-        "topological_category",
+        "continuity comp",
         _discontinuities(cat.comp, _product_near(mor, mor), mor, sorted(cat.comp)),
     )
 
@@ -262,134 +242,121 @@ class TopScenario:
 
     category: Category
     action: PartialAction
-    top_mor: Topology
-    top_space: Topology
+    top_mor: Space
+    top_space: Space
 
 
-@dataclass(frozen=True)
-class ActionContinuityReport:
+def check_continuous_action(scn: TopScenario) -> tuple[Verdict, Verdict]:
     """CA1: identity definedness domains are open; witnesses are objects.
     CA2: the action map is continuous on its definedness domain inside the
     product; witnesses are defined cells (g, x)."""
-
-    ca1_witnesses: tuple[str, ...]
-    ca2_witnesses: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.ca1_witnesses and not self.ca2_witnesses
-
-
-def check_continuous_action(scn: TopScenario) -> ActionContinuityReport:
     t = scn.action.table
-    space = Space.of(scn.top_space)
+    space = scn.top_space
     ca1 = []
     for e in scn.category.objects:
         dom_e = frozenset(x for x in scn.action.carrier if (e, x) in t)
         if not space.is_open(dom_e):
             ca1.append(e)
-    near = _product_near(Space.of(scn.top_mor), space)
-    return ActionContinuityReport(tuple(ca1), _discontinuities(t, near, space, sorted(t)))
+    near = _product_near(scn.top_mor, space)
+    return (
+        Verdict("continuity CA1", tuple(ca1)),
+        Verdict("continuity CA2", _discontinuities(t, near, space, sorted(t))),
+    )
 
 
-def check_star_open(cat: Category, top_mor: Topology) -> Verdict:
+def check_star_open(cat: Category, mor: Space) -> Verdict:
     """Each object's outgoing-morphism set dom^-1(e) must be open."""
-    mor = Space.of(top_mor)
     bad = []
     for e in cat.objects:
         star = frozenset(g for g in cat.morphisms if cat.dom[g] == e)
         if not mor.is_open(star):
             bad.append(e)
-    return Verdict("star_open", tuple(bad))
+    return Verdict("star-open", tuple(bad))
 
 
 def check_graph_open(scn: TopScenario) -> Verdict:
     """The definedness domain of the action must be open in the product."""
-    near = _product_near(Space.of(scn.top_mor), Space.of(scn.top_space))
+    near = _product_near(scn.top_mor, scn.top_space)
     gamma = scn.action.table
     bad = [gx for gx in sorted(gamma) if not all(cell in gamma for cell in near(gx))]
-    return Verdict("graph_open", tuple(bad))
+    return Verdict("graph-open", tuple(bad))
 
 
 def quotient_space(scn: TopScenario, glob: Globalization) -> Space:
     """The quotient carrier with its minimal class neighborhoods."""
-    prod = Space.product(Space.of(scn.top_mor), Space.of(scn.top_space))
+    prod = Space.product(scn.top_mor, scn.top_space)
     return prod.subspace(set(glob.xbar.elements)).quotient(dict(glob.class_of))
 
 
 def check_embedding_open(
-    scn: TopScenario, glob: Globalization, yspace: Optional[Topology] = None
+    scn: TopScenario, glob: Globalization, yspace: Optional[Space] = None
 ) -> Verdict:
     """Openness of the embedding: images of carrier opens must be open in the
     quotient (``yspace``, built here when not given).  Every open is a union
     of minimal neighborhoods, so it suffices that each U_x has an open image;
     the witnesses are the carrier points x whose U_x does not."""
-    ys = quotient_space(scn, glob) if yspace is None else Space.of(yspace)
-    pts = Space.of(scn.top_space)
+    ys = quotient_space(scn, glob) if yspace is None else yspace
+    pts = scn.top_space
     bad = tuple(
         x
         for x in sorted(pts.carrier, key=_skey)
         if not ys.is_open({glob.embed[p] for p in pts.nbhd[x]})
     )
-    return Verdict("embedding_open", bad)
+    return Verdict("embedding open", bad)
 
 
 @dataclass(frozen=True)
 class TopGlobalization:
-    """Quotient space plus the continuity conclusions of the open-embedding theorem."""
+    """The quotient space, every verdict of the open-embedding theorem in
+    report order, and whether the theorem's gate passes."""
 
     top_y: Space
-    ca: ActionContinuityReport
-    star: Verdict
-    graph: Verdict
-    embed_continuous: Verdict
-    action_continuous: Verdict
-    embed_open: Verdict
-    k_continuous: Optional[Verdict]
+    checks: tuple[Verdict, ...]
+    ok: bool
 
 
 def topologize_globalization(
     scn: TopScenario,
     glob: Globalization,
-    target: Optional[tuple[PartialAction, Topology, Mapping]] = None,
+    target: Optional[tuple[PartialAction, Space, Mapping]] = None,
 ) -> TopGlobalization:
     """Push the topologies through the construction and report every verdict.
 
     Never raises on hypothesis failures: CA1/CA2, star-openness, and
-    graph-openness are reported alongside the conclusions so callers can
-    decide which implications they care about.  When ``target`` supplies a
-    topologized global action and an equivariant map, the mediating map's
-    continuity is reported as well.
+    graph-openness are reported alongside the conclusions.  The gate ``ok``
+    needs every continuity verdict, an open embedding only when star-open
+    and graph-open hold, and, when ``target`` supplies a topologized global
+    action and an equivariant map, a continuous mediating map.
     """
-    mor, space = Space.of(scn.top_mor), Space.of(scn.top_space)
-    scn = TopScenario(scn.category, scn.action, mor, space)
+    mor, space = scn.top_mor, scn.top_space
     yspace = quotient_space(scn, glob)
 
-    ca = check_continuous_action(scn)
+    comp = check_topological_category(scn.category, mor)
+    ca1, ca2 = check_continuous_action(scn)
     star = check_star_open(scn.category, mor)
     graph = check_graph_open(scn)
-
-    near = space.nbhd.__getitem__
     embed_cont = Verdict(
-        "embedding_continuous",
-        _discontinuities(glob.embed, near, yspace, scn.action.carrier),
+        "embedding continuous",
+        _discontinuities(glob.embed, space.nbhd.__getitem__, yspace, scn.action.carrier),
     )
-    near = _product_near(mor, yspace)
     act_cont = Verdict(
-        "action_continuous",
-        _discontinuities(glob.action, near, yspace, sorted(glob.action)),
+        "action continuous",
+        _discontinuities(glob.action, _product_near(mor, yspace), yspace, sorted(glob.action)),
     )
-
     embed_open = check_embedding_open(scn, glob, yspace)
+    checks = [comp, ca1, ca2, star, graph, embed_cont, act_cont, embed_open]
 
-    k_cont = None
+    gate = [comp, ca1, ca2, embed_cont, act_cont]
+    if star.ok and graph.ok:
+        gate.append(embed_open)
     if target is not None:
-        t_act, t_top, j = target
+        t_act, t_space, j = target
         k = mediating(glob, t_act, j)
-        near = yspace.nbhd.__getitem__
         k_cont = Verdict(
-            "mediating_continuous",
-            _discontinuities(k, near, Space.of(t_top), yspace.carrier),
+            "mediating continuous",
+            _discontinuities(k, yspace.nbhd.__getitem__, t_space, yspace.carrier),
         )
+        checks.append(k_cont)
+        gate.append(k_cont)
 
-    return TopGlobalization(yspace, ca, star, graph, embed_cont, act_cont, embed_open, k_cont)
+    return TopGlobalization(yspace, tuple(checks), all(v.ok for v in gate))

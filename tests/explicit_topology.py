@@ -92,37 +92,37 @@ def topological_category_points(cat, top_mor) -> tuple:
     return point_witnesses(cat.comp, product_topology(top_mor, top_mor), top_mor)
 
 
-def continuous_action_ca2(scn) -> tuple:
-    square = product_topology(scn.top_mor, scn.top_space)
-    return preimage_witnesses(scn.action.table, square, scn.top_space)
+def continuous_action_ca2(act, top_mor, top_space) -> tuple:
+    square = product_topology(top_mor, top_space)
+    return preimage_witnesses(act.table, square, top_space)
 
 
-def continuous_action_ca2_points(scn) -> tuple:
-    square = product_topology(scn.top_mor, scn.top_space)
-    return point_witnesses(scn.action.table, square, scn.top_space)
+def continuous_action_ca2_points(act, top_mor, top_space) -> tuple:
+    square = product_topology(top_mor, top_space)
+    return point_witnesses(act.table, square, top_space)
 
 
-def quotient_of(scn, glob) -> FiniteTopology:
+def quotient_of(top_mor, top_space, glob) -> FiniteTopology:
     """The quotient topology on the classes, through explicit families only."""
-    square = product_topology(scn.top_mor, scn.top_space)
+    square = product_topology(top_mor, top_space)
     xbar = subspace_topology(square, glob.xbar.elements)
     return quotient_topology(xbar, dict(glob.class_of))
 
 
-def embedding_open(scn, glob) -> tuple:
-    top_y = quotient_of(scn, glob)
+def embedding_open(top_mor, top_space, glob) -> tuple:
+    top_y = quotient_of(top_mor, top_space, glob)
     bad = []
-    for u in sorted(scn.top_space.opens, key=_fmt_set):
+    for u in sorted(top_space.opens, key=_fmt_set):
         if frozenset(glob.embed[x] for x in u) not in top_y.opens:
             bad.append(_fmt_set(u))
     return tuple(bad)
 
 
-def embedding_open_points(scn, glob) -> tuple:
+def embedding_open_points(top_mor, top_space, glob) -> tuple:
     """Carrier points whose minimal neighborhood has a non-open image."""
-    top_y = quotient_of(scn, glob)
+    top_y = quotient_of(top_mor, top_space, glob)
     bad = []
-    for x in scn.top_space.carrier:
-        if frozenset(glob.embed[p] for p in min_nbhd(scn.top_space, x)) not in top_y.opens:
+    for x in top_space.carrier:
+        if frozenset(glob.embed[p] for p in min_nbhd(top_space, x)) not in top_y.opens:
             bad.append(x)
     return _fmt_set(bad)

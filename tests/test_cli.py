@@ -9,7 +9,19 @@ import random
 import sys
 import time
 
-from pcat import Category, FiniteTopology, PartialAction, Scenario, parse, serialize
+from pcat import (
+    Category,
+    FiniteTopology,
+    PartialAction,
+    Scenario,
+    Space,
+    TopScenario,
+    build_globalization,
+    check_category_axioms,
+    parse,
+    serialize,
+    topologize_globalization,
+)
 from pcat.cli import DEFAULT_SEED
 from pcat.oracle import group_category
 
@@ -303,6 +315,11 @@ def test_topo_writes_the_axiom_report_when_c1_fails(tmp_path):
     code, out, err = run_cli(["topo", str(bad)])
     assert code == 1
     assert out == "axioms C1 fail (e,1)\naxioms C2 pass\naxioms C3 pass\naxioms C4 pass\n"
+    code, out, err = run_cli(["topo", "--json", str(bad)])
+    assert code == 1
+    assert json.loads(out)["axioms"]["C1"] == {"pass": False, "witnesses": [["e", "1"]]}
+    sc = parse(bad.read_text())
+    assert out == serialize(check_category_axioms(sc.category, sc.action), "json")
 
 
 def test_validate_fails_on_axiom_violating_action(tmp_path):
@@ -484,6 +501,80 @@ def test_topo_target_requires_a_continuous_mediating_map(tmp_path):
     data = json.loads(out)
     assert code == 1 and data["ok"] is False
     assert [name for name, check in data["checks"].items() if not check["pass"]] == ["mediating_continuous"]
+
+
+def _library_topo(src, target=None):
+    """What ``pcat topo`` hands the library: each topology block as a Space,
+    a missing one as the discrete Space."""
+    sc = parse(src.read_text())
+
+    def space(top, carrier):
+        return Space.discrete(carrier) if top is None else Space.from_topology(top)
+
+    scn = TopScenario(
+        sc.category,
+        sc.action,
+        space(sc.top_mor, sc.category.morphisms),
+        space(sc.top_space, sc.action.carrier),
+    )
+    if target is not None:
+        tgt = parse(target.read_text())
+        target = (tgt.action, space(tgt.top_space, tgt.action.carrier), tgt.gfun)
+    glob = build_globalization(sc.category, sc.action)
+    return topologize_globalization(scn, glob, target)
+
+
+def test_topologize_globalization_gates_like_the_cli(tmp_path):
+    # tg.ok is the exit code, and tg.checks name the CLI lines between the
+    # two topology lines and the quotient count.  NOT_GRAPH_OPEN passes
+    # although its embedding is not open, since graph-open fails.
+    written = {}
+    for name, text in (
+        ("not_graph_open", NOT_GRAPH_OPEN),
+        ("pair", INDISCRETE_PAIR),
+        ("pair_target", DISCRETE_PAIR_TARGET),
+    ):
+        written[name] = tmp_path / f"{name}.pcat"
+        written[name].write_text(text)
+    cases = [
+        (written["not_graph_open"], None, True),
+        (written["pair"], None, True),
+        (written["pair"], written["pair_target"], False),
+        (FIXTURE_DIR / "arrow_small_nonopen.pcat", None, False),
+        (FIXTURE_DIR / "arrow_small_topo.pcat", None, True),
+        (FIXTURE_DIR / "arrow_small_topo.pcat", FIXTURE_DIR / "arrow_small_target.pcat", True),
+    ]
+    for src, target, ok in cases:
+        argv = ["topo", str(src)] + ([] if target is None else ["--target", str(target)])
+        code, out, err = run_cli(argv)
+        lines = [line.partition(" fail")[0].removesuffix(" pass") for line in out.splitlines()]
+        assert lines[:2] == ["topology mor", "topology space"], argv
+        assert lines[-1].startswith("quotient opens "), argv
+        tg = _library_topo(src, target)
+        assert (tg.ok, code == 0) == (ok, ok), argv
+        assert [v.name for v in tg.checks] == lines[2:-1], argv
+    tg = _library_topo(written["not_graph_open"])
+    assert tg.ok and [v.name for v in tg.checks if not v.ok] == ["graph-open", "embedding open"]
+
+
+def test_topo_converts_each_topology_block_once(monkeypatch):
+    # Each validated block becomes a Space once per run, in the CLI; the
+    # target fixture has no block and gets the discrete Space.
+    converted = []
+    from_topology = vars(Space)["from_topology"].__func__
+
+    def counted(cls, t):
+        converted.append(t)
+        return from_topology(cls, t)
+
+    monkeypatch.setattr(Space, "from_topology", classmethod(counted))
+    for argv in (
+        ["topo", fx("arrow_small_topo")],
+        ["topo", fx("arrow_small_topo"), "--target", fx("arrow_small_target")],
+    ):
+        converted.clear()
+        code, _, _ = run_cli(argv)
+        assert code == 0 and len(converted) == 2, (argv, len(converted))
 
 
 def test_mediate_requires_gfun(tmp_path):

@@ -8,7 +8,6 @@ from pcat import (
     TopScenario,
     build_globalization,
     check_continuous_action,
-    check_continuous_partial,
     check_embedding_open,
     check_graph_open,
     check_star_open,
@@ -18,6 +17,7 @@ from pcat import (
     topologize_globalization,
     validate_topology,
 )
+from pcat.topology import _discontinuities
 from pcat.oracle import group_category, random_topology, random_valid_action, small_category
 
 import explicit_topology as explicit
@@ -132,25 +132,14 @@ def test_quotient_dual_route_and_finest_property():
         assert via_fn.opens == fs(expect)
 
 
-def test_continuous_partial_identity_map():
-    ind = FiniteTopology.indiscrete("12")
-    dis = FiniteTopology.discrete("12")
-    ident = {"1": "1", "2": "2"}
-    assert check_continuous_partial(ident, dis, ind).ok
-    v = check_continuous_partial(ident, ind, dis)
-    assert v.witnesses == ("1", "2")
-
-
-def test_continuous_partial_uses_subspace_of_domain():
-    # On the subspace {2, 3} of the chain, the point 2 becomes relatively
-    # open, so 2 stops being a witness; the point 3 still drags 2 along in
-    # its relative neighborhood, so 3 remains one.
-    chain = FiniteTopology.make("123", [set(), {"1"}, {"1", "2"}, {"1", "2", "3"}])
-    dis = FiniteTopology.discrete("123")
-    full = check_continuous_partial({"1": "1", "2": "2", "3": "3"}, chain, dis)
-    assert full.witnesses == ("2", "3")
-    part = check_continuous_partial({"2": "2", "3": "3"}, chain, dis)
-    assert part.witnesses == ("3",)
+def top_scenario(sc, top_mor=None, top_space=None):
+    """The scenario's action over Spaces of the given families, else its own blocks."""
+    return TopScenario(
+        sc.category,
+        sc.action,
+        Space.from_topology(top_mor or sc.top_mor),
+        Space.from_topology(top_space or sc.top_space),
+    )
 
 
 def test_topological_category_verdicts():
@@ -159,81 +148,91 @@ def test_topological_category_verdicts():
     # U_m1 = {m1} and every other neighborhood is the whole space, so the
     # witnesses are exactly the pairs composing to m1: each has a pair
     # composing to e or m2 in its neighborhood.
-    witnesses = check_topological_category(z3, bad).witnesses
-    assert witnesses == (("e", "m1"), ("m1", "e"), ("m2", "m2"))
-    assert check_topological_category(z3, FiniteTopology.discrete(z3.morphisms)).ok
-    assert check_topological_category(z3, FiniteTopology.indiscrete(z3.morphisms)).ok
+    verdict = check_topological_category(z3, Space.from_topology(bad))
+    assert verdict.name == "continuity comp"
+    assert verdict.witnesses == (("e", "m1"), ("m1", "e"), ("m2", "m2"))
+    assert check_topological_category(z3, Space.discrete(z3.morphisms)).ok
+    indiscrete = Space.from_topology(FiniteTopology.indiscrete(z3.morphisms))
+    assert check_topological_category(z3, indiscrete).ok
 
 
 def test_star_open_verdicts():
     sc = parse(fixture_text("arrow_small"))
     arrow = sc.category
     bad = FiniteTopology.make(arrow.morphisms, [set(), {"g"}, set(arrow.morphisms)])
-    assert check_star_open(arrow, bad).witnesses == ("e", "f")
-    assert check_star_open(arrow, FiniteTopology.discrete(arrow.morphisms)).ok
+    assert check_star_open(arrow, Space.from_topology(bad)).witnesses == ("e", "f")
+    assert check_star_open(arrow, Space.discrete(arrow.morphisms)).ok
 
 
 def test_nonopen_fixture_frozen_verdicts():
     sc = parse(fixture_text("arrow_small_nonopen"))
-    scn = TopScenario(sc.category, sc.action, sc.top_mor, sc.top_space)
-    ca = check_continuous_action(scn)
-    assert ca.ca1_witnesses == ("f",)
-    assert ca.ca2_witnesses == ()
+    scn = top_scenario(sc)
+    ca1, ca2 = check_continuous_action(scn)
+    assert (ca1.name, ca1.witnesses) == ("continuity CA1", ("f",))
+    assert (ca2.name, ca2.witnesses) == ("continuity CA2", ())
     assert check_graph_open(scn).witnesses == (("f", "2"), ("g", "2"))
-    assert check_star_open(sc.category, sc.top_mor).ok
+    assert check_star_open(sc.category, scn.top_mor).ok
+
+
+TOPO_CHECKS = [
+    "continuity comp",
+    "continuity CA1",
+    "continuity CA2",
+    "star-open",
+    "graph-open",
+    "embedding continuous",
+    "action continuous",
+    "embedding open",
+]
 
 
 def test_discrete_fixture_all_verdicts_pass():
     sc = parse(fixture_text("arrow_small_topo"))
-    scn = TopScenario(sc.category, sc.action, sc.top_mor, sc.top_space)
     glob = build_globalization(sc.category, sc.action)
-    tg = topologize_globalization(scn, glob)
-    assert tg.ca.ok and tg.star.ok and tg.graph.ok
-    assert tg.embed_continuous.ok and tg.action_continuous.ok and tg.embed_open.ok
-    assert tg.k_continuous is None
+    tg = topologize_globalization(top_scenario(sc), glob)
+    assert [v.name for v in tg.checks] == TOPO_CHECKS
+    assert tg.ok and all(v.ok for v in tg.checks)
     assert tg.top_y.count_opens() == len(tg.top_y.opens()) == 16
     assert validate_topology(tg.top_y.to_topology()).ok
 
 
 def test_discrete_fixture_mediating_map_is_continuous():
     sc = parse(fixture_text("arrow_small_topo"))
-    scn = TopScenario(sc.category, sc.action, sc.top_mor, sc.top_space)
     glob = build_globalization(sc.category, sc.action)
     tgt = parse(fixture_text("arrow_small_target"))
     tg = topologize_globalization(
-        scn,
+        top_scenario(sc),
         glob,
-        (tgt.action, FiniteTopology.discrete(tgt.action.carrier), dict(tgt.gfun)),
+        (tgt.action, Space.discrete(tgt.action.carrier), dict(tgt.gfun)),
     )
-    assert tg.k_continuous is not None and tg.k_continuous.ok
+    assert [v.name for v in tg.checks] == TOPO_CHECKS + ["mediating continuous"]
+    assert tg.ok and tg.checks[-1].ok
 
 
 def test_indiscrete_carrier_conclusions_hold_without_hypotheses():
     # With an indiscrete carrier the openness hypotheses fail (identity
     # domains are not open and neither is the definedness domain), yet the
     # continuity conclusions about the quotient still hold; only the openness
-    # of the embedding is lost.
+    # of the embedding is lost, which the gate then does not require.
     sc = parse(fixture_text("arrow_small"))
-    scn = TopScenario(
-        sc.category,
-        sc.action,
+    scn = top_scenario(
+        sc,
         FiniteTopology.discrete(sc.category.morphisms),
         FiniteTopology.indiscrete(sc.action.carrier),
     )
     glob = build_globalization(sc.category, sc.action)
     tg = topologize_globalization(scn, glob)
-    assert tg.ca.ca1_witnesses == ("e", "f")
-    assert tg.ca.ca2_witnesses == ()
-    assert tg.graph.witnesses == (
-        ("e", "1"),
-        ("e", "2"),
-        ("f", "2"),
-        ("f", "3"),
-        ("g", "2"),
-    )
-    assert tg.star.ok
-    assert tg.embed_continuous.ok and tg.action_continuous.ok
-    assert tg.embed_open.witnesses == ("1", "2", "3")
+    assert {v.name: v.witnesses for v in tg.checks} == {
+        "continuity comp": (),
+        "continuity CA1": ("e", "f"),
+        "continuity CA2": (),
+        "star-open": (),
+        "graph-open": (("e", "1"), ("e", "2"), ("f", "2"), ("f", "3"), ("g", "2")),
+        "embedding continuous": (),
+        "action continuous": (),
+        "embedding open": ("1", "2", "3"),
+    }
+    assert not tg.ok
     assert tg.top_y.count_opens() == len(tg.top_y.opens()) == 2
 
 
@@ -243,37 +242,33 @@ def test_embedding_open_routes_agree():
         ("arrow_small", "indiscrete"),
     ):
         sc = parse(fixture_text(stem))
-        if tops is None:
-            scn = TopScenario(sc.category, sc.action, sc.top_mor, sc.top_space)
-        else:
-            scn = TopScenario(
-                sc.category,
-                sc.action,
-                FiniteTopology.discrete(sc.category.morphisms),
-                FiniteTopology.indiscrete(sc.action.carrier),
-            )
+        top_mor, top_space = sc.top_mor, sc.top_space
+        if tops is not None:
+            top_mor = FiniteTopology.discrete(sc.category.morphisms)
+            top_space = FiniteTopology.indiscrete(sc.action.carrier)
+        scn = top_scenario(sc, top_mor, top_space)
         glob = build_globalization(sc.category, sc.action)
-        top_y = quotient_space(scn, glob).to_topology()
+        top_y = Space.from_topology(quotient_space(scn, glob).to_topology())
         direct = check_embedding_open(scn, glob, top_y)
         lazy = check_embedding_open(scn, glob)
         assert direct.witnesses == lazy.witnesses, stem
-        assert lazy.witnesses == explicit.embedding_open_points(scn, glob), stem
-        assert bool(lazy.witnesses) == bool(explicit.embedding_open(scn, glob)), stem
+        assert lazy.witnesses == explicit.embedding_open_points(top_mor, top_space, glob), stem
+        assert bool(lazy.witnesses) == bool(explicit.embedding_open(top_mor, top_space, glob)), stem
 
 
 def test_quotient_space_carrier_is_class_representatives():
     sc = parse(fixture_text("arrow_small_topo"))
-    scn = TopScenario(sc.category, sc.action, sc.top_mor, sc.top_space)
     glob = build_globalization(sc.category, sc.action)
-    ys = quotient_space(scn, glob)
+    ys = quotient_space(top_scenario(sc), glob)
     assert set(ys.carrier) == {cls[0] for cls in glob.classes}
 
 
 def test_pointwise_verdicts_match_explicit_family_loops():
     # Every verdict decided on minimal neighborhoods, witness points included,
-    # equals a loop over the spelled-out families, whether the checks get
-    # those families or Spaces built from them; and it fails exactly when
-    # some open of the family is a witness.
+    # equals a loop over the spelled-out families the Spaces are built from;
+    # and it fails exactly when some open of the family is a witness.  The
+    # "partial" case runs the point test that every continuity check shares
+    # on a partial map, whose domain carries the subspace topology.
     rng = random.Random(4099)
     failing = {"ca2": 0, "comp": 0, "embed": 0, "partial": 0}
     cases = 0
@@ -288,16 +283,15 @@ def test_pointwise_verdicts_match_explicit_family_loops():
         top_space = random_topology(rng, act.carrier)
         cod = random_topology(rng, "wxyz")
         f = {x: rng.choice("wxyz") for x in act.carrier if rng.random() < 0.8}
-        family_scn = TopScenario(cat, act, top_mor, top_space)
         glob = build_globalization(cat, act)
         want = {
-            "ca2": explicit.continuous_action_ca2_points(family_scn),
-            "embed": explicit.embedding_open_points(family_scn, glob),
+            "ca2": explicit.continuous_action_ca2_points(act, top_mor, top_space),
+            "embed": explicit.embedding_open_points(top_mor, top_space, glob),
             "partial": explicit.point_witnesses(f, top_space, cod),
         }
         opens = {
-            "ca2": explicit.continuous_action_ca2(family_scn),
-            "embed": explicit.embedding_open(family_scn, glob),
+            "ca2": explicit.continuous_action_ca2(act, top_mor, top_space),
+            "embed": explicit.embedding_open(top_mor, top_space, glob),
             "partial": explicit.preimage_witnesses(f, top_space, cod),
         }
         if len(cat.morphisms) <= 3:
@@ -305,18 +299,16 @@ def test_pointwise_verdicts_match_explicit_family_loops():
             opens["comp"] = explicit.topological_category(cat, top_mor)
         for name, witnesses in want.items():
             assert bool(witnesses) == bool(opens[name]), (name, cases)
-        for as_given in (lambda t: t, Space.from_topology):
-            tm, ts = as_given(top_mor), as_given(top_space)
-            scn = TopScenario(cat, act, tm, ts)
-            got = {
-                "ca2": check_continuous_action(scn).ca2_witnesses,
-                "embed": check_embedding_open(scn, glob).witnesses,
-                "partial": check_continuous_partial(f, ts, as_given(cod)).witnesses,
-                "comp": check_topological_category(cat, tm).witnesses,
-            }
-            for name, witnesses in want.items():
-                assert got[name] == witnesses, (name, cases)
+        scn = TopScenario(cat, act, Space.from_topology(top_mor), Space.from_topology(top_space))
+        ts = scn.top_space
+        got = {
+            "ca2": check_continuous_action(scn)[1].witnesses,
+            "embed": check_embedding_open(scn, glob).witnesses,
+            "partial": _discontinuities(f, ts.nbhd.__getitem__, Space.from_topology(cod), sorted(f)),
+            "comp": check_topological_category(cat, scn.top_mor).witnesses,
+        }
         for name, witnesses in want.items():
+            assert got[name] == witnesses, (name, cases)
             failing[name] += bool(witnesses)
     assert all(failing.values()), failing
 
