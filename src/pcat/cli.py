@@ -81,7 +81,7 @@ def _emit(obj, as_json: bool) -> None:
 def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> None:
     """Print the ``topo`` verdicts; ``opens`` is None when no quotient was built."""
     if as_json:
-        checks_json = {v.name.replace(" ", "_"): check_json(v.witnesses) for v in checks}
+        checks_json = {v.name.replace(" ", "_").replace("-", "_"): check_json(v.witnesses) for v in checks}
         payload = {"checks": checks_json, "ok": ok}
         if opens is not None:
             payload["quotient_opens"] = opens

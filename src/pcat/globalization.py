@@ -483,71 +483,192 @@ def _fresh_points(existing, count: int) -> list[str]:
 
 
 def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Iterator[dict]:
-    """Every global action on the object sets ``sets`` that extends ``act``.
+    """Every global action on the object sets ``sets`` that extends ``act``,
+    one per orbit of the renamings of fresh points that fix ``sets``.
 
-    One backtracking search over the cells (m, z) of the non-identity
-    morphisms, in sorted morphism order, z ascending, values ascending, so
-    solutions come in lexicographic order of their value vectors; that order
-    fixes which receiver of each renaming class is kept.  A cell of
-    ``act`` takes only its given value.  The functor law is the only rule:
-    each instance F(g h)(x) = F(g)(F(h)(x)) is checked once all three of its
-    cells are filled, and a cell F(m)(z) = v is cut early when F(g m)(z) is
-    known, F(g)(v) is not, and another x with F(m)(x) = v disagrees on
-    F(g m)(x).  Yields each solution as a table keyed by (morphism, point).
+    A table is a vector of cells (m, z), z in ``sets[dom m]``, in sorted
+    morphism order and z ascending, with identity rows fixed.  Each instance
+    F(g h)(x) = F(g)(F(h)(x)) of non-identity g and h propagates as soon as
+    two of its three cells are known: the third is derived, and a derived
+    value that clashes with a set cell prunes the branch.  The cells of
+    ``act`` are set first; the search then branches on each cell still
+    unset, in cell order with values ascending, and a trail undoes each
+    branch.  A morphism in no such instance has independent cells, filled by
+    the product of their values with no law to check.
+
+    The renamings that fix ``sets`` permute fresh points (those outside
+    ``act.carrier``) of equal fibre signature.  A table is kept iff none of
+    them gives a lexicographically smaller vector, and a branch is cut once
+    a swap of two fresh points makes every completion smaller.  Yields each
+    kept table keyed by (morphism, point), rows in ``cat.morphisms`` order.
     """
-    non_id = sorted(m for m in cat.morphisms if m not in cat.objects)
-    # Identity rows in carrier order (points sorted by str), whatever the hash seed.
-    F: dict[str, dict] = {e: {z: z for z in sorted(sets[e], key=str)} for e in cat.objects}
-    F.update((m, {}) for m in non_id)
-    as_h: dict[str, list] = {}
-    as_g: dict[str, list] = {}
-    as_k: dict[str, list] = {}
-    for (g, h), k in cat.comp.items():
-        if g in cat.objects or h in cat.objects:
-            continue
-        as_h.setdefault(h, []).append((g, k))
-        as_g.setdefault(g, []).append((h, k))
-        as_k.setdefault(k, []).append((g, h))
-    cells = [
-        (m, z, (act.table[(m, z)],) if (m, z) in act.table else sorted(sets[cat.cod[m]]))
-        for m in non_id
-        for z in sorted(sets[cat.dom[m]])
+    objects = set(cat.objects)
+    pts = sorted(set().union(*sets.values()), key=str)
+    pid = {p: i for i, p in enumerate(pts)}
+    instances = [
+        (g, h, k) for h, gks in cat.after.items() if h not in objects for g, k in gks if g not in objects
     ]
+    linked = {m for inst in instances for m in inst}
 
-    def lawful(m: str, z: Pt, v: Pt) -> bool:
-        for g, k in as_h.get(m, ()):
-            w = F[k].get(z)
-            if w is None:
-                continue
-            u = F[g].get(v)
-            if u is not None:
-                if u != w:
-                    return False
-            elif any(y == v and F[k].get(x, w) != w for x, y in F[m].items()):
-                return False
-        for h, k in as_g.get(m, ()):
-            if any(y == z and F[k].get(x, v) != v for x, y in F[h].items()):
-                return False
-        for g, h in as_k.get(m, ()):
-            y = F[h].get(z)
-            if y is not None and F[g].get(y, v) != v:
-                return False
+    # by_value[h][y] lists the points x with F(h)(x) = y set so far.
+    by_value = {h: [[] for _ in pts] for _, h, _ in instances}
+
+    def row_points(m: str) -> list:
+        # Identity rows in carrier order (points sorted by str), whatever the hash seed.
+        return sorted(sets[cat.dom[m]], key=str if m in objects else None)
+
+    # Cell c is (m, z) for the m with row[m][pid[z]] == c: cell_row[c] is
+    # row[m], cell_pt[c] is pid[z], val[c] its value (-1 while unset) and
+    # hits[c] is by_value[m].  Identity rows are set from the start.
+    row: dict[str, list[int]] = {}
+    cell_row: list[list[int]] = []
+    cell_pt: list[int] = []
+    values: list[list[int]] = []
+    val: list[int] = []
+    hits: list[Optional[list]] = []
+    branch: list[int] = []
+    free: list[int] = []
+    for m in sorted(cat.morphisms):
+        row[m] = r = [-1] * len(pts)
+        opts = [pid[v] for v in sorted(sets[cat.cod[m]])]
+        for z in row_points(m):
+            c = r[pid[z]] = len(cell_pt)
+            cell_row.append(r)
+            cell_pt.append(pid[z])
+            values.append(opts)
+            hits.append(by_value.get(m))
+            val.append(pid[z] if m in objects else -1)
+            if m not in objects:
+                (branch if m in linked else free).append(c)
+    keys = [(m, z) for m in cat.morphisms for z in row_points(m)]
+    cells = [row[m][pid[z]] for m, z in keys]
+
+    # Each cell's roles in the instances: F(h)(x) in as_h, a cell of g's row
+    # in as_g and F(g h)(x) in as_k.
+    as_h: list[list] = [[] for _ in val]
+    as_g: list[list] = [[] for _ in val]
+    as_k: list[list] = [[] for _ in val]
+    for g, h, k in instances:
+        for x in sets[cat.dom[h]]:
+            a, kc = row[h][pid[x]], row[k][pid[x]]
+            as_h[a].append((row[g], kc))
+            as_k[kc].append((a, row[g]))
+        for y in sets[cat.dom[g]]:
+            as_g[row[g][pid[y]]].append((by_value[h][pid[y]], row[k]))
+    trail: list[int] = []
+    stack: list[int] = []
+
+    def put(c: int, v: int) -> bool:
+        """Set an unset cell c to v and queue it; False when c holds another value."""
+        if val[c] >= 0:
+            return val[c] == v
+        val[c] = v
+        trail.append(c)
+        if hits[c] is not None:
+            hits[c][v].append(cell_pt[c])
+        stack.append(c)
         return True
 
-    def fill(i: int) -> Iterator[dict]:
-        if i == len(cells):
-            yield {(g, z): v for g in cat.morphisms for z, v in F[g].items()}
-            return
-        m, z, values = cells[i]
-        for v in values:
-            # Filled before the check: one cell can fill two roles of an
-            # instance, as F(m)(z) does for m m when v == z.
-            F[m][z] = v
-            if lawful(m, z, v):
-                yield from fill(i + 1)
-        F[m].pop(z, None)
+    def assign(c: int, v: int) -> bool:
+        """Set cell c to v with every value it forces; False on a clash,
+        which leaves cells queued and set for :func:`undo`."""
+        stack.clear()
+        if not put(c, v):
+            return False
+        while stack:
+            c = stack.pop()
+            v = val[c]
+            for g_row, kc in as_h[c]:
+                b = g_row[v]
+                if val[b] >= 0:
+                    if not put(kc, val[b]):
+                        return False
+                elif val[kc] >= 0 and not put(b, val[kc]):
+                    return False
+            for xs, k_row in as_g[c]:
+                for x in xs:
+                    if not put(k_row[x], v):
+                        return False
+            for a, g_row in as_k[c]:
+                y = val[a]
+                if y >= 0 and not put(g_row[y], v):
+                    return False
+        return True
 
-    return fill(0)
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            c = trail.pop()
+            if hits[c] is not None:
+                hits[c][val[c]].pop()
+            val[c] = -1
+
+    for (m, z), v in act.table.items():
+        if m in linked:
+            if not assign(row[m][pid[z]], pid[v]):
+                return iter(())
+        elif m not in objects:
+            val[row[m][pid[z]]] = pid[v]
+    free = [c for c in free if val[c] < 0]
+    free_values = [values[c] for c in free]
+
+    # The renamings that fix ``sets`` permute fresh points of one fibre
+    # signature.  Each is held as (to, src): to[p] is the image of point p,
+    # and the renamed table holds at cell c the image of the value at src[c].
+    carrier = set(act.carrier)
+    groups: dict[tuple, list[int]] = {}
+    for p in pts:
+        if p not in carrier:
+            groups.setdefault(tuple(p in sets[e] for e in cat.objects), []).append(pid[p])
+
+    def renaming(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+        to, back = list(range(len(pts))), list(range(len(pts)))
+        for p, q in pairs:
+            to[p], back[q] = q, p
+        return to, [r[back[p]] for r, p in zip(cell_row, cell_pt)]
+
+    stabilizer = itertools.product(*(itertools.permutations(ps) for ps in groups.values()))
+    renamings = [
+        renaming(zip(itertools.chain(*groups.values()), itertools.chain(*images)))
+        for images in itertools.islice(stabilizer, 1, None)
+    ]
+    swaps = [renaming([(p, q), (q, p)]) for ps in groups.values() for p, q in itertools.combinations(ps, 2)]
+    found: list[dict] = []
+
+    def beaten() -> bool:
+        """Whether some swap of two fresh points makes every completion of
+        the set cells lexicographically smaller: it does on the first cell
+        where the swapped vector differs, if every cell it reads so far is set."""
+        for to, src in swaps:
+            for c, v in enumerate(val):
+                w = val[src[c]]
+                if v < 0 or w < 0:
+                    break
+                if to[w] != v:
+                    if to[w] < v:
+                        return True
+                    break
+        return False
+
+    def fill(i: int) -> None:
+        while i < len(branch) and val[branch[i]] >= 0:
+            i += 1
+        if i < len(branch):
+            c, mark = branch[i], len(trail)
+            for v in values[c]:
+                if assign(c, v) and not beaten():
+                    fill(i + 1)
+                undo(mark)
+            return
+        for combo in itertools.product(*free_values):
+            for c, v in zip(free, combo):
+                val[c] = v
+            if not any([to[val[c]] for c in src] < val for to, src in renamings):
+                found.append(dict(zip(keys, [pts[val[c]] for c in cells])))
+        for c in free:
+            val[c] = -1
+
+    fill(0)
+    return iter(found)
 
 
 def enumerate_globalizations(
@@ -557,8 +678,12 @@ def enumerate_globalizations(
 
     Results are pairs (target, j) with j an injective equivariant map; after
     relabeling, j can always be taken to be the inclusion of the original
-    carrier, so targets live on the original points plus fresh ones, and
-    duplicates differing only by a renaming of the fresh points are removed.
+    carrier, so targets live on the original points plus fresh ones, one per
+    renaming class of the fresh points.  A fibre choice is searched only when
+    it is the first of its renaming class, and :func:`_functors` yields one
+    table per orbit of the renamings that fix the choice, so no two
+    receivers are isomorphic; each is keyed once by :func:`_key_codes`, and
+    the list comes sorted by that key.
     """
     if not 1 <= max_size <= 8:
         raise ValueError("max_size must be between 1 and 8")
@@ -568,10 +693,11 @@ def enumerate_globalizations(
     for (g, x) in act.table:
         trip_dom.setdefault(g, set()).add(x)
 
-    seen: dict[tuple, tuple[PartialAction, dict]] = {}
+    receivers: list[tuple[tuple, PartialAction]] = []
     for n in range(len(X), max_size + 1):
         aux = _fresh_points(X, n - len(X))
         Z = sorted(X + aux, key=str)
+        carrier = tuple(Z)
         ranks = _key_ranks(cat.morphisms, Z)
         fresh = [z for z in Z if z in aux]
         obj_opts = []
@@ -599,11 +725,10 @@ def enumerate_globalizations(
             if any(a < b for a, b in zip(sig, sig[1:])):
                 continue
             for table in _functors(cat, sets, act):
-                target = PartialAction(tuple(Z), table)
-                key = _canonical_key(target, X, aux, ranks)
-                if key not in seen:
-                    seen[key] = (target, {x: x for x in X})
-    return [seen[k] for k in sorted(seen)]
+                target = PartialAction(carrier, table)
+                receivers.append((_key_codes(target, X, aux, ranks), target))
+    receivers.sort(key=itemgetter(0))
+    return [(target, {x: x for x in X}) for _, target in receivers]
 
 
 def _key_ranks(morphisms, points) -> tuple:
@@ -613,16 +738,17 @@ def _key_ranks(morphisms, points) -> tuple:
     return gs, ps, {g: i for i, g in enumerate(gs)}, {p: at[str(p)] for p in points}
 
 
-def _canonical_key(target: PartialAction, X, aux, ranks=None) -> tuple:
-    """The least sorted table of (g, str(x), str(y)) over renamings of the
-    fresh points ``aux`` (disjoint from ``X``).
+def _key_codes(target: PartialAction, X, aux, ranks) -> tuple:
+    """The size of ``target`` and the least sorted table of its entries
+    (g, x, y) over renamings of the fresh points ``aux`` (disjoint from
+    ``X``), each entry coded by ``ranks`` (see :func:`_key_ranks`) as one
+    integer that orders like (g, str(x), str(y)).
 
     Entries between points of X are fixed by every renaming, and sorted
     multisets of equal size compare by the least element of their symmetric
-    difference, so only the entries touching ``aux`` are searched, coded as
-    integers through ``ranks`` (from :func:`_key_ranks` when not given).
+    difference, so only the entries touching ``aux`` are searched.
     """
-    gs, ps, g_rank, p_rank = ranks or _key_ranks({g for g, _ in target.table}, [*X, *aux])
+    _, ps, g_rank, p_rank = ranks
     n, nn = len(ps), len(ps) ** 2
     # X's points are coded by rank, fresh point i by n + i; r[n + i] ranks its image.
     code = {a: i for i, a in enumerate(aux, n)}
@@ -639,5 +765,15 @@ def _canonical_key(target: PartialAction, X, aux, ranks=None) -> tuple:
         codes = sorted([c + r[x] * n + r[y] for c, x, y in moving])
         if best is None or codes < best:
             best = codes
-    key = tuple((gs[c // nn], ps[c // n % n], ps[c % n]) for c in sorted(fixed + best))
-    return (len(target.carrier), key)
+    return len(target.carrier), tuple(sorted(fixed + best))
+
+
+def _canonical_key(target: PartialAction, X, aux, ranks=None) -> tuple:
+    """The least sorted table of (g, str(x), str(y)) over renamings of the
+    fresh points ``aux``: the decoded :func:`_key_codes`, with ``ranks``
+    from :func:`_key_ranks` when not given."""
+    ranks = ranks or _key_ranks({g for g, _ in target.table}, [*X, *aux])
+    gs, ps = ranks[0], ranks[1]
+    n, nn = len(ps), len(ps) ** 2
+    size, codes = _key_codes(target, X, aux, ranks)
+    return size, tuple((gs[c // nn], ps[c // n % n], ps[c % n]) for c in codes)

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 
@@ -55,6 +56,16 @@ def test_validate_goldens():
         code, out, err = run_cli(["validate", fx(stem)])
         assert code == 0 and err == ""
         assert out == golden_text(f"validate_{stem}.txt"), stem
+
+
+def test_python_m_pcat_runs_the_cli():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcat", "validate", "fixtures/arrow_small.pcat"],
+        capture_output=True, text=True, env=env, cwd=REPO, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden_text("validate_arrow_small.txt"), "")
 
 
 def test_validate_json_parses():
@@ -143,15 +154,15 @@ def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
     checks = json.loads(out)["checks"]
     assert code == 1
     failing = {name for name, check in checks.items() if not check["pass"]}
-    assert failing == {"continuity_CA2", "graph-open", "embedding_open"}, failing
+    assert failing == {"continuity_CA2", "graph_open", "embedding_open"}, failing
     domain = {
         "topology_mor": 0,
         "topology_space": 0,
         "continuity_comp": len(z4.comp),
         "continuity_CA1": len(z4.objects),
         "continuity_CA2": len(act.table),
-        "star-open": len(z4.objects),
-        "graph-open": len(act.table),
+        "star_open": len(z4.objects),
+        "graph_open": len(act.table),
         "embedding_continuous": len(act.carrier),
         "action_continuous": len(z4.morphisms) * classes,
         "embedding_open": len(act.carrier),

@@ -1,6 +1,7 @@
 """Tests for the quotient construction, mediating maps, and receiver enumeration."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -31,6 +32,7 @@ from pcat.category import Category, ValidationReport, validate_category
 from pcat.fixtures import FIXTURES, arrow_category
 from pcat.globalization import (
     _canonical_key,
+    _fresh_points,
     _key_ranks,
     naive_closure,
     sim_pairs,
@@ -38,6 +40,7 @@ from pcat.globalization import (
 )
 from pcat.oracle import (
     _relabel_as_extension,
+    _table_category,
     chain_category,
     group_category,
     random_category,
@@ -403,6 +406,83 @@ def test_enumerate_z4_receivers_at_bound_8_within_a_second():
     elapsed = time.perf_counter() - t0
     assert len(found) == 18
     assert elapsed <= 1.0, elapsed
+
+
+def test_enumerate_z24_receivers_at_bound_5_within_a_second():
+    # F(m1) determines every row, but m10 to m19 sort before m2: branching
+    # on their cells instead of deriving them took seconds here.
+    cat = _table_category([[(i + j) % 24 for j in range(24)] for i in range(24)])
+    act = PartialAction(("1",), {("e", "1"): "1"})
+    t0 = time.perf_counter()
+    found = enumerate_globalizations(cat, act, 5)
+    elapsed = time.perf_counter() - t0
+    assert len(found) == 25
+    assert elapsed <= 1.0, elapsed
+
+
+def _fold_choices(cat, act, bound):
+    """Each carrier and fibre choice of a receiver of ``act`` up to ``bound``
+    points, with its non-identity cells in sorted order and each cell's
+    values: the given one on a cell of ``act``, else the codomain fibre."""
+    X = list(act.carrier)
+    non_id = sorted(m for m in cat.morphisms if m not in cat.objects)
+    for n in range(len(X), bound + 1):
+        aux = _fresh_points(X, n - len(X))
+        Z = sorted(X + aux, key=str)
+        subsets = [set(c) for r in range(n + 1) for c in itertools.combinations(Z, r)]
+        for choice in itertools.product(subsets, repeat=len(cat.objects)):
+            sets = dict(zip(cat.objects, choice))
+            if any(x not in sets[cat.dom[g]] for g, x in act.table):
+                continue
+            cells = [(m, z) for m in non_id for z in sorted(sets[cat.dom[m]])]
+            values = [[act.table[c]] if c in act.table else sorted(sets[cat.cod[c[0]]]) for c in cells]
+            yield aux, Z, sets, cells, values
+
+
+def _brute_force_fold(cat, act, bound):
+    """Every table on every fibre choice, kept when it passes C1-C4, then
+    folded to the first table of each canonical key."""
+    X = list(act.carrier)
+    seen = {}
+    for aux, Z, sets, cells, values in _fold_choices(cat, act, bound):
+        for vals in itertools.product(*values):
+            step = dict(zip(cells, vals))
+            table = {
+                (m, z): z if m in cat.objects else step[(m, z)]
+                for m in cat.morphisms
+                for z in sorted(sets[cat.dom[m]], key=str)
+            }
+            target = PartialAction(tuple(Z), table)
+            if check_category_axioms(cat, target).all_pass:
+                seen.setdefault(_canonical_key(target, X, aux), (target, {x: x for x in X}))
+    return [seen[k] for k in sorted(seen)]
+
+
+def _fold_size(cat, act, bound):
+    return sum(math.prod(map(len, values)) for *_, values in _fold_choices(cat, act, bound))
+
+
+def test_enumerator_matches_a_brute_force_fold():
+    cases = [(cat, act, len(act.carrier) + d) for cat, act in _fixture_actions() for d in (0, 1)]
+    # Cells of g, in no composite, come before those of the involution t,
+    # and the fresh points have renamings: no library category mixes these.
+    apart = Category.make(["e", "f", "o"], {"g": ("e", "f"), "t": ("o", "o")}, {("t", "t"): "o"})
+    cases.append((apart, PartialAction(("1",), {("o", "1"): "1"}), 3))
+    rng = random.Random(1978)
+    while len(cases) < len(_fixture_actions()) * 2 + 51:
+        cat = random_category(rng)
+        act = random_valid_action(rng, cat, random_points(rng, 3), rng.uniform(0.2, 0.7))
+        if act is None:
+            continue
+        # The brute force builds every table: take the larger bound that keeps it small.
+        bounds = [b for b in (len(act.carrier) + 1, len(act.carrier)) if _fold_size(cat, act, b) <= 2000]
+        if bounds:
+            cases.append((cat, act, bounds[0]))
+    for cat, act, bound in cases:
+        got = enumerate_globalizations(cat, act, bound)
+        want = _brute_force_fold(cat, act, bound)
+        assert got == want, (cat, act, bound)
+        assert [list(t.table.items()) for t, _ in got] == [list(t.table.items()) for t, _ in want]
 
 
 def _z4_swap():
