@@ -487,20 +487,22 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     one per orbit of the renamings of fresh points that fix ``sets``.
 
     A table is a vector of cells (m, z), z in ``sets[dom m]``, in sorted
-    morphism order and z ascending, with identity rows fixed.  Each instance
-    F(g h)(x) = F(g)(F(h)(x)) of non-identity g and h propagates as soon as
-    two of its three cells are known: the third is derived, and a derived
-    value that clashes with a set cell prunes the branch.  The cells of
-    ``act`` are set first; the search then branches on each cell still
-    unset, in cell order with values ascending, and a trail undoes each
-    branch.  A morphism in no such instance has independent cells, filled by
-    the product of their values with no law to check.
+    morphism order and z ascending by ``str``, with identity rows fixed.
+    Each instance F(g h)(x) = F(g)(F(h)(x)) of non-identity g and h
+    propagates as soon as two of its three cells are known: the third is
+    derived, and a derived value that clashes with a set cell prunes the
+    branch.  The cells of ``act`` are set first; the search then branches
+    on each cell still unset, in cell order with values ascending, and a
+    trail undoes each branch.  A morphism in no such instance has
+    independent cells, filled by the product of their values with no law to
+    check.
 
     The renamings that fix ``sets`` permute fresh points (those outside
     ``act.carrier``) of equal fibre signature.  A table is kept iff none of
     them gives a lexicographically smaller vector, and a branch is cut once
     a swap of two fresh points makes every completion smaller.  Yields each
-    kept table keyed by (morphism, point), rows in ``cat.morphisms`` order.
+    kept table keyed by (morphism, point), rows in ``cat.morphisms`` order,
+    in the order the depth-first search completes them.
     """
     objects = set(cat.objects)
     pts = sorted(set().union(*sets.values()), key=str)
@@ -514,8 +516,8 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     by_value = {h: [[] for _ in pts] for _, h, _ in instances}
 
     def row_points(m: str) -> list:
-        # Identity rows in carrier order (points sorted by str), whatever the hash seed.
-        return sorted(sets[cat.dom[m]], key=str if m in objects else None)
+        # Points in carrier order (sorted by str), whatever their type or the hash seed.
+        return sorted(sets[cat.dom[m]], key=str)
 
     # Cell c is (m, z) for the m with row[m][pid[z]] == c: cell_row[c] is
     # row[m], cell_pt[c] is pid[z], val[c] its value (-1 while unset) and
@@ -530,7 +532,7 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     free: list[int] = []
     for m in sorted(cat.morphisms):
         row[m] = r = [-1] * len(pts)
-        opts = [pid[v] for v in sorted(sets[cat.cod[m]])]
+        opts = [pid[v] for v in sorted(sets[cat.cod[m]], key=str)]
         for z in row_points(m):
             c = r[pid[z]] = len(cell_pt)
             cell_row.append(r)
@@ -682,8 +684,9 @@ def enumerate_globalizations(
     renaming class of the fresh points.  A fibre choice is searched only when
     it is the first of its renaming class, and :func:`_functors` yields one
     table per orbit of the renamings that fix the choice, so no two
-    receivers are isomorphic; each is keyed once by :func:`_key_codes`, and
-    the list comes sorted by that key.
+    receivers are isomorphic.  The list is in the order the search makes
+    them: carrier size ascending, then fibre choices in product order, then
+    each choice's tables in depth-first order.
     """
     if not 1 <= max_size <= 8:
         raise ValueError("max_size must be between 1 and 8")
@@ -693,12 +696,11 @@ def enumerate_globalizations(
     for (g, x) in act.table:
         trip_dom.setdefault(g, set()).add(x)
 
-    receivers: list[tuple[tuple, PartialAction]] = []
+    receivers: list[tuple[PartialAction, dict]] = []
     for n in range(len(X), max_size + 1):
         aux = _fresh_points(X, n - len(X))
         Z = sorted(X + aux, key=str)
         carrier = tuple(Z)
-        ranks = _key_ranks(cat.morphisms, Z)
         fresh = [z for z in Z if z in aux]
         obj_opts = []
         for e in cat.objects:
@@ -725,55 +727,5 @@ def enumerate_globalizations(
             if any(a < b for a, b in zip(sig, sig[1:])):
                 continue
             for table in _functors(cat, sets, act):
-                target = PartialAction(carrier, table)
-                receivers.append((_key_codes(target, X, aux, ranks), target))
-    receivers.sort(key=itemgetter(0))
-    return [(target, {x: x for x in X}) for _, target in receivers]
-
-
-def _key_ranks(morphisms, points) -> tuple:
-    """Sorted morphisms and point names (``str``), and each one's rank there."""
-    gs, ps = sorted(morphisms), sorted({str(p) for p in points})
-    at = {s: i for i, s in enumerate(ps)}
-    return gs, ps, {g: i for i, g in enumerate(gs)}, {p: at[str(p)] for p in points}
-
-
-def _key_codes(target: PartialAction, X, aux, ranks) -> tuple:
-    """The size of ``target`` and the least sorted table of its entries
-    (g, x, y) over renamings of the fresh points ``aux`` (disjoint from
-    ``X``), each entry coded by ``ranks`` (see :func:`_key_ranks`) as one
-    integer that orders like (g, str(x), str(y)).
-
-    Entries between points of X are fixed by every renaming, and sorted
-    multisets of equal size compare by the least element of their symmetric
-    difference, so only the entries touching ``aux`` are searched.
-    """
-    _, ps, g_rank, p_rank = ranks
-    n, nn = len(ps), len(ps) ** 2
-    # X's points are coded by rank, fresh point i by n + i; r[n + i] ranks its image.
-    code = {a: i for i, a in enumerate(aux, n)}
-    fixed, moving = [], []
-    for (g, x), y in target.table.items():
-        if x in code or y in code:
-            moving.append((g_rank[g] * nn, code.get(x, p_rank[x]), code.get(y, p_rank[y])))
-        else:
-            fixed.append(g_rank[g] * nn + p_rank[x] * n + p_rank[y])
-    r = list(range(n + len(aux)))
-    best = None
-    for perm in itertools.permutations([p_rank[a] for a in aux]):
-        r[n:] = perm
-        codes = sorted([c + r[x] * n + r[y] for c, x, y in moving])
-        if best is None or codes < best:
-            best = codes
-    return len(target.carrier), tuple(sorted(fixed + best))
-
-
-def _canonical_key(target: PartialAction, X, aux, ranks=None) -> tuple:
-    """The least sorted table of (g, str(x), str(y)) over renamings of the
-    fresh points ``aux``: the decoded :func:`_key_codes`, with ``ranks``
-    from :func:`_key_ranks` when not given."""
-    ranks = ranks or _key_ranks({g for g, _ in target.table}, [*X, *aux])
-    gs, ps = ranks[0], ranks[1]
-    n, nn = len(ps), len(ps) ** 2
-    size, codes = _key_codes(target, X, aux, ranks)
-    return size, tuple((gs[c // nn], ps[c // n % n], ps[c % n]) for c in codes)
+                receivers.append((PartialAction(carrier, table), {x: x for x in X}))
+    return receivers

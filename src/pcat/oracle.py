@@ -20,7 +20,6 @@ from .category import Category
 from .action import PartialAction, check_category_axioms, check_groupoid_axioms
 from . import fixtures
 from .globalization import (
-    _canonical_key,
     _fresh_points,
     _mediate,
     build_xbar,
@@ -431,8 +430,8 @@ def _relabel_as_extension(glob) -> PartialAction:
     """The quotient action relabeled so the embedding is the inclusion.
 
     Embedded classes take their source point's name; the rest take fresh
-    names in canonical order.  Used to locate the quotient among enumerated
-    receivers."""
+    names in the sorted order of their representatives.  The universality
+    and groupoid suites mediate into it as the quotient's own receiver."""
     inv = {rep: x for x, rep in glob.embed.items()}
     extra = [c[0] for c in glob.classes if c[0] not in inv]
     fresh = _fresh_points(glob.source.carrier, len(extra))
@@ -468,24 +467,27 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
     size (capped by ``max_size``); the mediating map must be the only
     equivariant extension of the inclusion.  The quotient itself must appear
     among the receivers, reflect definedness (see ``induces_source``), and
-    receive a bijective mediating map from itself."""
+    receive a bijective mediating map from itself.  A receiver is a copy of
+    the quotient when its mediating map k is bijective and it has as many
+    steps as the quotient: k is equivariant, so it then maps the quotient's
+    steps one-to-one onto the receiver's and is an isomorphism fixing the
+    carrier."""
     failures = []
     ran = 0
     for name, make in fixtures.FIXTURES.items():
         cat, act = make()
         glob = build_globalization(cat, act)
-        bound = _receiver_bound(len(glob.classes), len(act.carrier), max_size)
+        size = len(glob.classes)
+        bound = _receiver_bound(size, len(act.carrier), max_size)
         targets = enumerate_globalizations(cat, act, bound)
-        y_relabeled = _relabel_as_extension(glob)
-        base = set(act.carrier)
-        y_key = _canonical_key(y_relabeled, act.carrier, [p for p in y_relabeled.carrier if p not in base])
-        t_keys = [
-            _canonical_key(t, act.carrier, [p for p in t.carrier if p not in base])
-            for t, _ in targets
-            if len(t.carrier) == len(y_relabeled.carrier)
-        ]
-        if bound >= len(glob.classes) and y_key not in t_keys:
+        if bound >= size and not any(
+            len(t.carrier) == size
+            and len(t.table) == len(glob.action)
+            and len(set(_mediate(glob, t, j).values())) == size
+            for t, j in targets
+        ):
             failures.append(f"{name}: quotient missing from enumerated receivers")
+        y_relabeled = _relabel_as_extension(glob)
         if not induces_source(cat, act, y_relabeled, {x: x for x in act.carrier}).ok:
             failures.append(f"{name}: quotient does not reflect definedness")
         k_self = mediating(glob, y_relabeled, {x: x for x in act.carrier})

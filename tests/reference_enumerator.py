@@ -12,8 +12,11 @@ Kept verbatim as test-only references:
   or the rounds run out.
 
 ``tests/test_globalization.py`` and ``tests/test_oracle.py`` require the
-library's versions to return equal results.  Nothing under ``src/`` imports
-this module.
+library's versions to return equal results.  The library keeps receivers in
+the order its search makes them and has no canonical key of its own, so
+``_canonical_key`` is also the tests' ordering key (see ``receiver_key``):
+they sort the library's receivers by it before comparing lists, and find the
+quotient's copy by it.  Nothing under ``src/`` imports this module.
 """
 
 import itertools
@@ -145,6 +148,12 @@ def enumerate_globalizations(
                 if key not in seen:
                     seen[key] = (target, {x: x for x in X})
     return [seen[k] for k in sorted(seen)]
+
+
+def receiver_key(act: PartialAction):
+    """The ``_canonical_key`` of a receiver target of ``act``, as a function of the target."""
+    X = list(act.carrier)
+    return lambda t: _canonical_key(t, X, [z for z in t.carrier if z not in act.carrier])
 
 
 def _canonical_key(target: PartialAction, X, aux) -> tuple:

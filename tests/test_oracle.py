@@ -14,9 +14,11 @@ from pcat import (
     check_g_function,
     check_groupoid_axioms,
     enumerate_globalizations,
+    functor_violations,
     is_groupoid,
     mediating,
     parse,
+    to_functor,
     validate_category,
     validate_topology,
 )
@@ -202,6 +204,8 @@ def test_universality_suite_small_run():
 def test_every_receiver_of_the_bound_6_universality_sweep_is_checked_once():
     # The suites mediate into these receivers without checking the contract
     # of ``mediating``; it holds by construction, and is checked once here.
+    # The functor laws, checked as a set-valued functor, are a second route
+    # to globality that shares nothing with the enumerator's propagation.
     checked = 0
     for name, make in FIXTURES.items():
         cat, act = make()
@@ -210,7 +214,25 @@ def test_every_receiver_of_the_bound_6_universality_sweep_is_checked_once():
             checked += 1
             assert check_category_axioms(cat, target).all_pass, name
             assert check_g_function(j, act, target).ok, name
+            assert functor_violations(cat, to_functor(cat, target)) == (), name
     assert checked == 5528
+
+
+def test_universality_suite_reports_a_quotient_missing_from_the_receivers(monkeypatch):
+    # Drops the copy of each fixture's quotient, found by the reference key.
+    # Forty 4-point receivers of arrow_small still get a bijective mediating
+    # map, so a bijection alone must not count as finding the quotient.
+    enumerate_all = oracle.enumerate_globalizations
+
+    def without_the_quotient(cat, act, bound):
+        key = reference.receiver_key(act)
+        quotient = key(_relabel_as_extension(build_globalization(cat, act)))
+        return [(t, j) for t, j in enumerate_all(cat, act, bound) if key(t) != quotient]
+
+    monkeypatch.setattr(oracle, "enumerate_globalizations", without_the_quotient)
+    res = suite_universality(max_size=6)
+    for name in FIXTURES:
+        assert f"{name}: quotient missing from enumerated receivers" in res.failures
 
 
 def test_mediating_maps_of_the_bound_6_sweep_and_fixture_quotients_are_equivariant():
