@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
+import os
 import sys
 
 from .action import Verdict, check_category_axioms, groupoid_report
-from .dsl import ParseError, Scenario, globalization_to_scenario, parse, serialize
-from .dsl import _axiom_report_json, _validation_json, check_json, check_line, to_json
+from .dsl import ParseError, Scenario, globalization_to_scenario, parse, render
+from .dsl import _axiom_report_json, _validation_json, check_json, check_line, json_chunks
 from .globalization import (
     AxiomError,
     MediationError,
@@ -33,6 +35,10 @@ DEFAULT_SEED = 1729
 
 class _InputError(Exception):
     """Input file unreadable or unparsable; message already on stderr."""
+
+
+class _OutputError(Exception):
+    """Writing stdout failed; the message is the reason."""
 
 
 def _read_scenario(path: str) -> Scenario:
@@ -57,7 +63,7 @@ def _category_ok(scn: Scenario) -> bool:
     """Validate the scenario's category; on failure the report goes to stderr."""
     val = scn.category.validation
     if not val.ok:
-        sys.stderr.write(serialize(val, "text"))
+        sys.stderr.writelines(render(val, "text"))
     return val.ok
 
 
@@ -74,8 +80,30 @@ def _read_target(path: str, source: Scenario) -> Scenario | None:
     return tgt
 
 
+def _write(chunks) -> None:
+    """Write chunks to stdout as they are made, then flush; a failed write or
+    flush raises :class:`_OutputError`."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(exc.strerror or exc) from exc
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that what is still
+    buffered is dropped at exit instead of failing a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-memory stdout has no descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def _emit(obj, as_json: bool) -> None:
-    sys.stdout.write(serialize(obj, "json" if as_json else "text"))
+    _write(render(obj, "json" if as_json else "text"))
 
 
 def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> None:
@@ -85,12 +113,12 @@ def _topo_report(checks, ok: bool, as_json: bool, opens: int | None = None) -> N
         payload = {"checks": checks_json, "ok": ok}
         if opens is not None:
             payload["quotient_opens"] = opens
-        sys.stdout.write(to_json(payload))
+        _write(json_chunks(payload))
     else:
-        for v in checks:
-            print(check_line(v.name, v.witnesses))
+        lines = [f"{check_line(v.name, v.witnesses)}\n" for v in checks]
         if opens is not None:
-            print(f"quotient opens {opens}")
+            lines.append(f"quotient opens {opens}\n")
+        _write(lines)
 
 
 def cmd_validate(args) -> int:
@@ -105,12 +133,10 @@ def cmd_validate(args) -> int:
         payload = {"category": _validation_json(val), "action": _axiom_report_json(axioms)["axioms"]}
         if gr is not None:
             payload["groupoid_action"] = _axiom_report_json(gr)["axioms"]
-        sys.stdout.write(to_json(payload))
+        _write(json_chunks(payload))
     else:
-        sys.stdout.write(serialize(val, "text"))
-        sys.stdout.write(serialize(axioms, "text"))
-        if gr is not None:
-            sys.stdout.write(serialize(gr, "text"))
+        reports = (val, axioms) if gr is None else (val, axioms, gr)
+        _write(itertools.chain.from_iterable(render(rep, "text") for rep in reports))
     return 0 if axioms.passed("C1", "C2", "C3") else 1
 
 
@@ -121,7 +147,7 @@ def cmd_globalize(args) -> int:
     try:
         glob = build_globalization(scn.category, scn.action)
     except AxiomError as exc:
-        sys.stderr.write(serialize(exc.report, "text"))
+        sys.stderr.writelines(render(exc.report, "text"))
         return 1
     if args.target_out:
         # Written before stdout, so that a target that cannot be named writes neither.
@@ -132,11 +158,11 @@ def cmd_globalize(args) -> int:
             return 1
         try:
             with open(args.target_out, "w", encoding="utf-8") as fh:
-                fh.write(serialize(out, "text"))
+                fh.writelines(render(out, "text"))
         except OSError as exc:
             print(f"--target-out: {args.target_out}: {exc.strerror or exc}", file=sys.stderr)
             return 1
-        del out  # not held while the stdout payload is built
+        del out  # not held while stdout is written
     _emit(glob, args.json)
     return 0
 
@@ -151,7 +177,7 @@ def cmd_mediate(args) -> int:
     try:
         glob = build_globalization(scn.category, scn.action)
     except AxiomError as exc:
-        sys.stderr.write(serialize(exc.report, "text"))
+        sys.stderr.writelines(render(exc.report, "text"))
         return 1
     try:
         k = mediating(glob, tgt.action, tgt.gfun)
@@ -161,19 +187,14 @@ def cmd_mediate(args) -> int:
     injective = len(set(k.values())) == len(k)
     if args.json:
         payload = {
-            "k": [
-                {"class": [rep[0], str(rep[1])], "value": str(k[rep])}
-                for rep in sorted(k)
-            ],
+            "k": ({"class": [rep[0], str(rep[1])], "value": str(k[rep])} for rep in sorted(k)),
             "compose_ok": True,
             "injective": injective,
         }
-        sys.stdout.write(to_json(payload))
+        _write(json_chunks(payload))
     else:
-        lines = [f"k [{rep[0]},{rep[1]}] = {k[rep]}" for rep in sorted(k)]
-        lines.append("compose ok")
-        lines.append(f"injective {'true' if injective else 'false'}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        lines = (f"k [{rep[0]},{rep[1]}] = {k[rep]}\n" for rep in sorted(k))
+        _write(itertools.chain(lines, ["compose ok\n", f"injective {'true' if injective else 'false'}\n"]))
     return 0
 
 
@@ -247,7 +268,7 @@ def cmd_oracle(args) -> int:
         try:
             scenario.append(suite_scenario(scn.category, scn.action, args.max_size))
         except AxiomError as exc:
-            sys.stderr.write(serialize(exc.report, "text"))
+            sys.stderr.writelines(render(exc.report, "text"))
             return 1
     suites = run_oracle(args.seed, args.max_size) + scenario
     if args.json:
@@ -263,11 +284,13 @@ def cmd_oracle(args) -> int:
             ],
             "ok": all(s.ok for s in suites),
         }
-        sys.stdout.write(to_json(payload))
+        _write(json_chunks(payload))
     else:
+        lines = []
         for s in suites:
             status = "ok" if s.ok else f"fail {s.failures[0]}"
-            print(f"suite {s.name} cases {s.cases} {status}")
+            lines.append(f"suite {s.name} cases {s.cases} {status}\n")
+        _write(lines)
     return 0 if all(s.ok for s in suites) else 1
 
 
@@ -322,6 +345,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except _InputError:
         return 2
+    except _OutputError as exc:
+        print(f"pcat: stdout: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return 1
 
 
 def run() -> None:

@@ -13,6 +13,7 @@ and a 1-based source position.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping, NamedTuple, Optional
@@ -360,39 +361,38 @@ def _rep_json(rep):
     return [g, _pt(x)]
 
 
-def _scenario_text(s: Scenario) -> str:
+def _scenario_text(s: Scenario) -> Iterator[str]:
     cat, act = s.category, s.action
     named = set(cat.morphisms) | set(act.carrier) | set(s.gfun or ())
     if "empty" in named:
         raise ValueError("identifier 'empty' is reserved and cannot be written as scenario text")
-    out = [f"category {s.category_name}"]
+    yield f"category {s.category_name}\n"
     for o in cat.objects:
-        out.append(f"  object {o}")
+        yield f"  object {o}\n"
     for m in cat.morphisms:
         if m not in cat.objects:
-            out.append(f"  mor {m} : {cat.dom[m]} -> {cat.cod[m]}")
+            yield f"  mor {m} : {cat.dom[m]} -> {cat.cod[m]}\n"
     for (g, h) in sorted(cat.comp):
         if g not in cat.objects and h not in cat.objects:
-            out.append(f"  comp {g} . {h} = {cat.comp[(g, h)]}")
-    out.append("end")
-    out.append(f"action {s.action_name}")
+            yield f"  comp {g} . {h} = {cat.comp[(g, h)]}\n"
+    yield "end\n"
+    yield f"action {s.action_name}\n"
     if act.carrier:
-        out.append("  point " + " ".join(act.carrier))
+        yield "  point " + " ".join(act.carrier) + "\n"
     for (g, x) in sorted(act.table):
-        out.append(f"  act {g} {x} = {act.table[(g, x)]}")
-    out.append("end")
+        yield f"  act {g} {x} = {act.table[(g, x)]}\n"
+    yield "end\n"
     for kind, top in (("mor", s.top_mor), ("space", s.top_space)):
         if top is None:
             continue
-        out.append(f"topology {kind}")
+        yield f"topology {kind}\n"
         for u in sorted(top.opens, key=lambda u: tuple(sorted(u))):
             if u:
-                out.append("  open " + " ".join(sorted(u)))
-        out.append("end")
+                yield "  open " + " ".join(sorted(u)) + "\n"
+        yield "end\n"
     if s.gfun is not None:
         for src in sorted(s.gfun):
-            out.append(f"gfun {src} = {s.gfun[src]}")
-    return "\n".join(out) + "\n"
+            yield f"gfun {src} = {s.gfun[src]}\n"
 
 
 def _topology_json(top: Optional[FiniteTopology]):
@@ -434,30 +434,29 @@ def _scenario_json(s: Scenario) -> dict:
 
 def _globalization_json(glob: Globalization) -> dict:
     return {
-        "classes": [
-            {"rep": _rep_json(cls[0]), "members": [_rep_json(m) for m in cls]}
-            for cls in glob.classes
-        ],
-        "action": [
+        "classes": (
+            {"rep": _rep_json(cls[0]), "members": [_rep_json(m) for m in cls]} for cls in glob.classes
+        ),
+        "action": (
             {"g": g, "src": _rep_json(src), "dst": _rep_json(dst)}
             for (g, src), dst in sorted(glob.action.items())
-        ],
+        ),
         "embedding": {_pt(x): _rep_json(r) for x, r in sorted(glob.embed.items())},
         "axioms": glob.axioms.verdicts(),
     }
 
 
-def _globalization_text(glob: Globalization) -> str:
-    out = [f"xbar {len(glob.xbar.elements)}", f"classes {len(glob.classes)}"]
+def _globalization_text(glob: Globalization) -> Iterator[str]:
+    yield f"xbar {len(glob.xbar.elements)}\n"
+    yield f"classes {len(glob.classes)}\n"
     for cls in glob.classes:
-        out.append(f"class {_rep_text(cls[0])} = " + " ".join(_el_text(m) for m in cls))
+        yield f"class {_rep_text(cls[0])} = " + " ".join(_el_text(m) for m in cls) + "\n"
     for (g, src), dst in sorted(glob.action.items()):
-        out.append(f"act {g} {_rep_text(src)} = {_rep_text(dst)}")
+        yield f"act {g} {_rep_text(src)} = {_rep_text(dst)}\n"
     for x in sorted(glob.embed):
-        out.append(f"embed {_pt(x)} = {_rep_text(glob.embed[x])}")
+        yield f"embed {_pt(x)} = {_rep_text(glob.embed[x])}\n"
     for a, ok in glob.axioms.verdicts().items():
-        out.append(f"axioms {a} {'pass' if ok else 'fail'}")
-    return "\n".join(out) + "\n"
+        yield f"axioms {a} {'pass' if ok else 'fail'}\n"
 
 
 def _witness(w) -> str:
@@ -490,21 +489,22 @@ def check_json(witnesses) -> dict:
     return {"pass": not witnesses, "witnesses": [_witness_json(w) for w in witnesses]}
 
 
-def _axiom_report_text(rep: AxiomReport) -> str:
-    return "\n".join(check_line(f"axioms {a}", wit) for a, wit in rep.witnesses.items()) + "\n"
+def _axiom_report_text(rep: AxiomReport) -> Iterator[str]:
+    for a, wit in rep.witnesses.items():
+        yield check_line(f"axioms {a}", wit) + "\n"
 
 
 def _axiom_report_json(rep: AxiomReport) -> dict:
     return {"axioms": {a: check_json(wit) for a, wit in rep.witnesses.items()}}
 
 
-def _validation_text(rep: ValidationReport) -> str:
+def _validation_text(rep: ValidationReport) -> Iterator[str]:
     if rep.ok:
-        return "category valid\n"
-    out = ["category invalid"]
+        yield "category valid\n"
+        return
+    yield "category invalid\n"
     for v in rep.violations:
-        out.append(f"violation {v.kind} (" + ",".join(_pt(p) for p in v.subject) + f") {v.detail}")
-    return "\n".join(out) + "\n"
+        yield f"violation {v.kind} (" + ",".join(_pt(p) for p in v.subject) + f") {v.detail}\n"
 
 
 def _validation_json(rep: ValidationReport) -> dict:
@@ -517,43 +517,77 @@ def _validation_json(rep: ValidationReport) -> dict:
     }
 
 
+def _enc(o, ind: str) -> str:
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = ind + "  "
+        items = [
+            f"{_quote(k)}: {_quote(v) if isinstance(v, str) else _enc(v, inner)}"
+            for k, v in sorted(o.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = ind + "  "
+        items = [_quote(v) if isinstance(v, str) else _enc(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + ind + "]"
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    return int.__repr__(o)  # a TypeError for anything but an int
+
+
+def _chunks(o, ind: str) -> Iterator[str]:
+    inner = ind + "  "
+    if isinstance(o, dict):
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            head = f"{sep}{_quote(k)}: "
+            if isinstance(v, (dict, Iterator)):
+                yield head
+                yield from _chunks(v, inner)
+            else:
+                yield head + _enc(v, inner)
+            sep = "," + inner
+        yield "{}" if sep[0] == "{" else ind + "}"
+    elif isinstance(o, Iterator):
+        sep = "[" + inner
+        for v in o:
+            yield sep + _enc(v, inner)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else ind + "]"
+    else:
+        yield _enc(o, ind)
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for byte, in
+    chunks, for str, int, bool, None, lists, tuples and str-keyed dicts.  A list may
+    also be given as an iterator, drawn one item at a time as it is written.
+
+    A dict is written one chunk per entry, an iterator one chunk per item, and any
+    other value, a list or tuple with everything in it too, as one chunk.  The
+    standard encoder leaves its C fast path whenever ``indent`` is set; this joins
+    the same layout container by container, strings quoted by the C
+    ``encode_basestring_ascii``."""
+    yield from _chunks(obj, "\n")
+    yield "\n"
+
+
 def to_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for byte, for
-    str, int, bool, None, lists, tuples and str-keyed dicts.  The standard encoder
-    leaves its C fast path whenever ``indent`` is set; this joins the same layout
-    container by container, strings quoted by the C ``encode_basestring_ascii``."""
-
-    def enc(o, ind):
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            inner = ind + "  "
-            items = [
-                f"{_quote(k)}: {_quote(v) if isinstance(v, str) else enc(v, inner)}"
-                for k, v in sorted(o.items())
-            ]
-            return "{" + inner + ("," + inner).join(items) + ind + "}"
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            inner = ind + "  "
-            items = [_quote(v) if isinstance(v, str) else enc(v, inner) for v in o]
-            return "[" + inner + ("," + inner).join(items) + ind + "]"
-        if isinstance(o, str):
-            return _quote(o)
-        if o is None or o is True or o is False:
-            return "null" if o is None else "true" if o else "false"
-        return int.__repr__(o)  # a TypeError for anything but an int
-
-    return enc(obj, "\n") + "\n"
+    """:func:`json_chunks` joined: ``json.dumps(obj, indent=2, sort_keys=True)`` and a
+    newline, byte for byte."""
+    return "".join(json_chunks(obj))
 
 
-def serialize(obj, fmt: str = "text") -> str:
-    """Render a scenario, report, or globalization canonically.
+def render(obj, fmt: str = "text") -> Iterator[str]:
+    """The canonical form of a scenario, report, or globalization as chunks, made
+    as they are drawn: one line of text each, or the chunks of :func:`json_chunks`.
 
-    Scenario text round-trips through :func:`parse`.  All collections are
-    emitted in sorted order so identical values always serialize to identical
-    bytes.
+    A bad ``fmt`` or type raises here, before any chunk is made.
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -564,8 +598,19 @@ def serialize(obj, fmt: str = "text") -> str:
         (ValidationReport, _validation_text, _validation_json),
     ):
         if isinstance(obj, kind):
-            return text(obj) if fmt == "text" else to_json(data(obj))
+            return text(obj) if fmt == "text" else json_chunks(data(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def serialize(obj, fmt: str = "text") -> str:
+    """Render a scenario, report, or globalization canonically: the chunks of
+    :func:`render` joined into one string.
+
+    Scenario text round-trips through :func:`parse`.  All collections are
+    emitted in sorted order so identical values always serialize to identical
+    bytes.
+    """
+    return "".join(render(obj, fmt))
 
 
 def globalization_to_scenario(

@@ -37,3 +37,29 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+class ChunkRecorder(io.StringIO):
+    """A text stream that keeps every chunk given to ``write`` or ``writelines``."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks: list[str] = []
+
+    def write(self, s: str) -> int:
+        self.chunks.append(s)
+        return super().write(s)
+
+    def writelines(self, lines) -> None:
+        for s in lines:
+            self.write(s)
+
+
+def run_cli_chunks(argv: list[str]) -> tuple[int, list[str], str]:
+    """Run the CLI in-process; returns (exit code, stdout chunks as written, stderr)."""
+    from pcat.cli import main
+
+    out, err = ChunkRecorder(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.chunks, err.getvalue()

@@ -9,6 +9,9 @@ import random
 import subprocess
 import sys
 import time
+from collections.abc import Iterator
+
+import pytest
 
 from pcat import (
     Category,
@@ -19,6 +22,7 @@ from pcat import (
     TopScenario,
     build_globalization,
     check_category_axioms,
+    globalization_to_scenario,
     parse,
     serialize,
     topologize_globalization,
@@ -26,7 +30,7 @@ from pcat import (
 from pcat.cli import DEFAULT_SEED
 from pcat.oracle import group_category
 
-from conftest import FIXTURE_DIR, REPO, fixture_text, golden_text, run_cli
+from conftest import FIXTURE_DIR, REPO, ChunkRecorder, fixture_text, golden_text, run_cli, run_cli_chunks
 
 
 STEMS = ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift")
@@ -58,13 +62,17 @@ def test_validate_goldens():
         assert out == golden_text(f"validate_{stem}.txt"), stem
 
 
-def test_python_m_pcat_runs_the_cli():
+def python_m_pcat(argv, **kwargs):
+    """Run ``python -m pcat ARGV`` on this checkout's sources in a new process."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pcat", "validate", "fixtures/arrow_small.pcat"],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "pcat", *argv], text=True, env=env, cwd=REPO, timeout=60, **kwargs
     )
+
+
+def test_python_m_pcat_runs_the_cli():
+    proc = python_m_pcat(["validate", "fixtures/arrow_small.pcat"], capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden_text("validate_arrow_small.txt"), "")
 
 
@@ -115,9 +123,10 @@ def test_topo_defaults_missing_topologies_to_discrete():
     assert "continuity CA1 pass" in out
 
 
-def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
-    # 200 of the 240 points of 60 copies of the regular Z4 action; the
-    # globalization of a restriction is the union of the orbits it touches.
+def z4_copies():
+    """200 of the 240 points of 60 copies of the regular Z4 action, and the
+    number of classes of its globalization: a restriction globalizes to the
+    union of the orbits it touches."""
     rng = random.Random(2024)
     kept = set(rng.sample([(c, h) for c in range(60) for h in range(4)], 200))
     names = ["e", "m1", "m2", "m3"]
@@ -127,11 +136,22 @@ def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
         for (c, h) in kept
         if (c, (g + h) % 4) in kept
     }
-    z4 = group_category("z4")
     act = PartialAction.make([f"p{c}_{h}" for (c, h) in kept], steps)
+    return group_category("z4"), act, 4 * len({c for c, _ in kept})
+
+
+def z4_copies_file(tmp_path) -> str:
+    """The path of a scenario file holding :func:`z4_copies`, without topologies."""
+    z4, act, _ = z4_copies()
     path = tmp_path / "copies.pcat"
     path.write_text(serialize(Scenario("z4", "copies", z4, act, None, None, None)))
-    classes = 4 * len({c for c, _ in kept})
+    return str(path)
+
+
+def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
+    z4, act, classes = z4_copies()
+    path = tmp_path / "copies.pcat"
+    path.write_text(serialize(Scenario("z4", "copies", z4, act, None, None, None)))
 
     start = time.perf_counter()
     code, out, err = run_cli(["topo", str(path)])
@@ -257,25 +277,51 @@ def test_bom_prefixed_input_reads_as_without_bom(tmp_path):
     assert mediated == (0, golden_text("mediate_arrow_small.txt"), "")
 
 
+def _drawn(obj):
+    """``obj`` with every iterator in it drawn into a list, and ``obj`` again
+    with each drawn iterator given anew as an iterator over the same items."""
+    if isinstance(obj, dict):
+        pairs = {k: _drawn(v) for k, v in obj.items()}
+        return {k: p[0] for k, p in pairs.items()}, {k: p[1] for k, p in pairs.items()}
+    if isinstance(obj, (list, tuple)):
+        pairs = [_drawn(v) for v in obj]
+        return [p[0] for p in pairs], type(obj)(p[1] for p in pairs)
+    if obj is None or isinstance(obj, (str, int)):
+        return obj, obj
+    pairs = [_drawn(v) for v in obj]
+    return [p[0] for p in pairs], iter([p[1] for p in pairs])
+
+
 def test_json_output_is_json_dumps_bytes(monkeypatch):
-    # Every --json payload goes through one direct writer; on every fixture
-    # it must write exactly json.dumps(indent=2, sort_keys=True) plus a newline.
+    # Every --json payload goes through one streaming writer, some of its lists
+    # given as iterators; on every fixture stdout must be exactly
+    # json.dumps(indent=2, sort_keys=True) of the payload with those lists
+    # drawn, plus a newline.
     import pcat.cli
     import pcat.dsl
 
-    writer = pcat.dsl.to_json
+    writer = pcat.dsl.json_chunks
     payloads = []
+    streamed = set()
 
-    def checked(obj):
-        payloads.append(obj)
-        text = writer(obj)
-        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-        return text
+    def recorded(obj):
+        full, lazy = _drawn(obj)
+        payloads.append(full)
+        streamed.update(k for k, v in obj.items() if isinstance(v, Iterator))
+        return writer(lazy)
 
-    monkeypatch.setattr(pcat.dsl, "to_json", checked)
-    monkeypatch.setattr(pcat.cli, "to_json", checked)
+    monkeypatch.setattr(pcat.dsl, "json_chunks", recorded)
+    monkeypatch.setattr(pcat.cli, "json_chunks", recorded)
     target = fx("arrow_small_target")
-    run_cli(["oracle", "--json", "--max-size", "1"])
+
+    def check(argv):
+        before = len(payloads)
+        _, out, _ = run_cli(argv)
+        if len(payloads) > before:
+            assert len(payloads) == before + 1, argv
+            assert out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n", argv
+
+    check(["oracle", "--json", "--max-size", "1"])
     # The fixture's own suite only; the randomized suites were written above.
     monkeypatch.setattr(pcat.cli, "run_oracle", lambda seed, max_size: [])
     stems = sorted(p.stem for p in FIXTURE_DIR.glob("*.pcat"))
@@ -288,7 +334,7 @@ def test_json_output_is_json_dumps_bytes(monkeypatch):
             ["topo", "--json", "--target", target, fx(stem)],
             ["oracle", "--json", "--max-size", "3", fx(stem)],
         ):
-            run_cli(argv)
+            check(argv)
     assert len(stems) == 7 and len(payloads) == 35
     assert sorted({" ".join(sorted(p)) for p in payloads}) == [
         "action axioms classes embedding",
@@ -298,6 +344,69 @@ def test_json_output_is_json_dumps_bytes(monkeypatch):
         "compose_ok injective k",
         "ok suites",
     ]
+    assert streamed == {"action", "classes", "k"}
+
+
+def test_globalize_writes_its_output_as_it_is_rendered(tmp_path, monkeypatch):
+    # Stdout and the --target-out file each get many small chunks, each
+    # written as it is made: none is more than one line of text or one
+    # class, step or embedding entry of JSON.
+    import pcat.cli
+
+    for stem in ("arrow_small", "iso_fixed"):
+        for fmt, flags in (("txt", []), ("json", ["--json"])):
+            code, chunks, err = run_cli_chunks(["globalize", *flags, fx(stem)])
+            assert (code, err) == (0, "") and len(chunks) > 1
+            assert "".join(chunks) == golden_text(f"globalize_{stem}.{fmt}"), stem
+
+    path = z4_copies_file(tmp_path)
+    z4, act, _ = z4_copies()
+    glob = build_globalization(z4, act)
+    files = []
+
+    def recording_open(file, mode="r", **kwargs):
+        if "w" not in mode:
+            return open(file, mode, **kwargs)
+        files.append(ChunkRecorder())
+        return files[-1]
+
+    monkeypatch.setattr(pcat.cli, "open", recording_open, raising=False)
+    target = globalization_to_scenario(glob, "z4", "copies_global")
+    written = {}
+    for fmt, flags in (("text", []), ("json", ["--json"])):
+        code, chunks, err = run_cli_chunks(["globalize", *flags, "--target-out", "unused.pcat", path])
+        assert (code, err) == (0, "")
+        assert "".join(chunks) == serialize(glob, fmt)
+        written[fmt] = chunks
+        assert "".join(files[-1].chunks) == serialize(target)
+        written["target " + fmt] = files[-1].chunks
+    for name, chunks in written.items():
+        assert len(chunks) >= 200 and len("".join(chunks)) > 8 * 4096, name
+        assert max(map(len, chunks)) < 4096, name
+
+
+@pytest.mark.parametrize("stdout", ["full", "closed pipe"])
+@pytest.mark.parametrize("size", ["buffered", "streamed"])
+def test_a_failed_stdout_write_exits_one_with_one_line(tmp_path, stdout, size):
+    # The small output fails at the final flush, the large one at a write
+    # part-way through; either way stderr gets one line and no traceback,
+    # and nothing more at interpreter exit.
+    src = fx("arrow_small") if size == "buffered" else z4_copies_file(tmp_path)
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as sink:
+            proc = python_m_pcat(["globalize", src], stdout=sink, stderr=subprocess.PIPE)
+        reason = os.strerror(errno.ENOSPC)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = python_m_pcat(["globalize", src], stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        reason = os.strerror(errno.EPIPE)
+    assert (proc.returncode, proc.stderr) == (1, f"pcat: stdout: {reason}\n")
 
 
 def test_parse_error_exits_two_with_span(tmp_path):

@@ -19,7 +19,7 @@ from pcat import (
     serialize,
     validate_category,
 )
-from pcat.dsl import to_json
+from pcat.dsl import json_chunks, to_json
 from pcat.fixtures import arrow_small
 from pcat.oracle import group_category
 
@@ -349,9 +349,46 @@ JSON_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("value", JSON_EDGES)
+# Values whose lists the writer is also given as iterators (see _lazy).
+JSON_LAZY_EDGES = [
+    [{}, {"b": [1, 2], "a": "x"}, {"k": {"n": None}, "e": []}],
+    {"outer": {"inner": [[1], [], "s"], "none": []}, "z": 3},
+    {"classes": [{"rep": ["e", "1"], "members": [["e", "1"], ["f", "2"]]}], "embedding": {"1": ["e", "1"]}},
+]
+
+
+def _lazy(value):
+    """``value`` with every list it holds directly or through dicts given as
+    an iterator; list items are left as they are."""
+    if isinstance(value, dict):
+        return {k: _lazy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return iter(value)
+    return value
+
+
+@pytest.mark.parametrize("value", JSON_EDGES + JSON_LAZY_EDGES)
 def test_json_writer_matches_json_dumps(value):
-    assert to_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    want = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert to_json(value) == want
+    assert "".join(json_chunks(_lazy(value))) == want
+
+
+def test_json_writer_draws_iterators_item_by_item():
+    items = [{"a": [1, 2]}, {"b": "x"}, []]
+    drawn = []
+
+    def gen():
+        for item in items:
+            drawn.append(item)
+            yield item
+
+    chunks = json_chunks({"k": gen(), "a": 1})
+    got = [(next(chunks), len(drawn)) for _ in range(5)]
+    assert [n for _, n in got] == [0, 0, 1, 2, 3]
+    assert "".join([c for c, _ in got] + list(chunks)) == to_json({"k": items, "a": 1})
+    with pytest.raises(TypeError):
+        to_json({"s": {1, 2}})  # a set is no list, as for json.dumps
 
 
 def test_fixture_files_match_programmatic_builders():
