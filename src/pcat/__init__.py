@@ -58,7 +58,6 @@ from .topology import (
 from .dsl import (
     ParseError,
     Scenario,
-    Span,
     globalization_to_scenario,
     parse,
     serialize,
@@ -110,7 +109,6 @@ __all__ = [
     "validate_topology",
     "ParseError",
     "Scenario",
-    "Span",
     "globalization_to_scenario",
     "parse",
     "serialize",

@@ -7,16 +7,16 @@ followed by topology blocks for the morphism set and the carrier and by
 and both LF and CRLF line endings are accepted.  Identity morphisms are
 created automatically and share their object's identifier; composites
 involving an identity are implied.  Every parse error carries a stable code
-and a 1-based source position.
+and a 1-based line and column; a parsed scenario keeps no source positions.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .category import Category, ValidationReport
 from .action import AxiomReport, PartialAction
@@ -27,15 +27,8 @@ _TOKEN = re.compile(r"->|[:.=]|[A-Za-z0-9_]+|[^\s]")
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-class Span(NamedTuple):
-    """A 1-based source position."""
-
-    line: int
-    col: int
-
-
 class ParseError(Exception):
-    """A scenario-text error with a machine-readable code and source span."""
+    """A scenario-text error with a machine-readable code and a 1-based line and column."""
 
     def __init__(self, code: str, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {code}: {message}")
@@ -47,7 +40,8 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One parsed scenario; ``spans`` maps every declared entity to its position."""
+    """One parsed scenario: the category, the action on its carrier, the optional
+    topologies and the optional equivariant map ``gfun``, with no source positions."""
 
     category_name: str
     action_name: str
@@ -56,7 +50,6 @@ class Scenario:
     top_mor: Optional[FiniteTopology]
     top_space: Optional[FiniteTopology]
     gfun: Optional[Mapping[str, str]]
-    spans: Mapping[tuple, Span] = field(compare=False, default_factory=dict)
 
 
 def _tokens(line_text: str):
@@ -68,20 +61,19 @@ class _Parser:
     def __init__(self, text: str):
         self.lines = text.split("\n")
         self.idx = 0
-        self.spans: dict[tuple, Span] = {}
 
     def err(self, code, msg, line, col):
         raise ParseError(code, msg, line, col)
 
     def next_line(self, fast=None):
         """The next non-blank line as (number, tokens).  A line with no ``#`` or carriage
-        return that ``fast(number, fields, text)`` proves well-formed and records is skipped."""
+        return that ``fast(fields)`` proves well-formed and records is skipped."""
         while self.idx < len(self.lines):
             text = self.lines[self.idx]
             self.idx += 1
             if fast is not None and "#" not in text and "\r" not in text:
                 fields = text.split()
-                if not fields or fast(self.idx, fields, text):
+                if not fields or fast(fields):
                     continue
             toks = _tokens(text)
             if toks:
@@ -109,6 +101,7 @@ class _Parser:
             where = (line, toks[0][1]) if toks else (len(self.lines), 1)
             self.err("E_SYNTAX", "expected 'action <name>' after the category block", *where)
         act_name, action = self.action_block(line, toks, category)
+        points = set(action.carrier)
 
         top_mor = top_space = None
         gfun: Optional[dict] = None
@@ -125,11 +118,11 @@ class _Parser:
                 if kind == "mor":
                     if top_mor is not None:
                         self.err("E_DUP_DEF", "second 'topology mor' block", line, col)
-                    top_mor = self.topology_block(line, kind, tuple(category.morphisms))
+                    top_mor = self.topology_block(line, tuple(category.morphisms))
                 else:
                     if top_space is not None:
                         self.err("E_DUP_DEF", "second 'topology space' block", line, col)
-                    top_space = self.topology_block(line, kind, action.carrier)
+                    top_space = self.topology_block(line, action.carrier)
             elif head == "gfun":
                 if gfun is None:
                     gfun = {}
@@ -137,27 +130,25 @@ class _Parser:
                     self.err("E_SYNTAX", "expected 'gfun <point> = <point>'", line, col)
                 src = self.want_ident(toks[1], line, "a point identifier")
                 dst = self.want_ident(toks[3], line, "a point identifier")
-                if dst not in action.carrier:
+                if dst not in points:
                     self.err("E_UNKNOWN_ID", f"unknown point {dst!r}", line, toks[3][1])
                 if src in gfun:
                     self.err("E_DUP_DEF", f"duplicate gfun entry for {src!r}", line, toks[1][1])
                 gfun[src] = dst
-                self.spans[("gfun", src)] = Span(line, toks[1][1])
             else:
                 self.err("E_SYNTAX", f"unexpected directive {head!r}", line, col)
 
-        return Scenario(cat_name, act_name, category, action, top_mor, top_space, gfun, self.spans)
+        return Scenario(cat_name, act_name, category, action, top_mor, top_space, gfun)
 
     def category_block(self, line, toks):
         if len(toks) != 2:
             self.err("E_SYNTAX", "expected 'category <name>'", line, toks[-1][1])
         name = self.want_ident(toks[1], line, "a category name")
-        self.spans[("category", name)] = Span(line, toks[1][1])
         objects: list[str] = []
         arrows: dict[str, tuple[str, str]] = {}
         explicit: dict[tuple[str, str], str] = {}
 
-        def fast(n, f, text):
+        def fast(f):
             # comp lines of two composable non-identity arrows, not yet given
             if len(f) != 6 or f[0] != "comp" or f[2] != "." or f[4] != "=":
                 return False
@@ -166,7 +157,6 @@ class _Parser:
             if not known or arrows[g][0] != arrows[h][1] or (g, h) in explicit:
                 return False
             explicit[(g, h)] = k
-            self.spans[("comp", g, h)] = Span(n, len(text) - len(text.lstrip()) + 1)
             return True
 
         while True:
@@ -183,7 +173,6 @@ class _Parser:
                 if obj in objects or obj in arrows:
                     self.err("E_DUP_DEF", f"duplicate identifier {obj!r}", line, toks[1][1])
                 objects.append(obj)
-                self.spans[("object", obj)] = Span(line, toks[1][1])
             elif head == "mor":
                 if len(toks) != 6 or toks[2][0] != ":" or toks[4][0] != "->":
                     self.err("E_SYNTAX", "expected 'mor <id> : <obj> -> <obj>'", line, col)
@@ -197,7 +186,6 @@ class _Parser:
                 if c not in objects:
                     self.err("E_UNKNOWN_ID", f"unknown object {c!r}", line, toks[5][1])
                 arrows[mid] = (d, c)
-                self.spans[("mor", mid)] = Span(line, toks[1][1])
             elif head == "comp":
                 if len(toks) != 6 or toks[2][0] != "." or toks[4][0] != "=":
                     self.err("E_SYNTAX", "expected 'comp <g> . <h> = <k>'", line, col)
@@ -221,7 +209,6 @@ class _Parser:
                 if implied is not None and implied != k:
                     self.err("E_DUP_DEF", f"composite for ({g}, {h}) conflicts with the identity law", line, col)
                 explicit[(g, h)] = k
-                self.spans[("comp", g, h)] = Span(line, col)
             else:
                 self.err("E_SYNTAX", f"unexpected directive {head!r} in category block", line, col)
 
@@ -235,12 +222,11 @@ class _Parser:
         if len(toks) != 2:
             self.err("E_SYNTAX", "expected 'action <name>'", line, toks[-1][1])
         name = self.want_ident(toks[1], line, "an action name")
-        self.spans[("action", name)] = Span(line, toks[1][1])
         points: set[str] = set()
         morphisms = set(category.morphisms)
         table: dict[tuple[str, str], str] = {}
 
-        def fast(n, f, text):
+        def fast(f):
             # act lines over declared names with a new (g, x)
             if f[0] == "act":
                 if len(f) != 5 or f[3] != "=":
@@ -249,7 +235,6 @@ class _Parser:
                 if g not in morphisms or x not in points or y not in points or (g, x) in table:
                     return False
                 table[(g, x)] = y
-                self.spans[("act", g, x)] = Span(n, len(text) - len(text.lstrip()) + 1)
                 return True
             # point lines of new, distinct identifiers
             new = f[1:]
@@ -257,11 +242,6 @@ class _Parser:
                 return False
             if len(set(new)) != len(new) or not points.isdisjoint(new):
                 return False
-            pos = text.index("point") + len("point")
-            for p in new:
-                pos = text.index(p, pos)
-                self.spans[("point", p)] = Span(n, pos + 1)
-                pos += len(p)
             points.update(new)
             return True
 
@@ -280,7 +260,6 @@ class _Parser:
                     if p in points:
                         self.err("E_DUP_DEF", f"duplicate point {p!r}", line, t[1])
                     points.add(p)
-                    self.spans[("point", p)] = Span(line, t[1])
             elif head == "act":
                 if len(toks) != 5 or toks[3][0] != "=":
                     self.err("E_SYNTAX", "expected 'act <mor> <point> = <point>'", line, col)
@@ -296,13 +275,11 @@ class _Parser:
                 if (g, x) in table:
                     self.err("E_DUP_DEF", f"duplicate action entry for ({g}, {x})", line, col)
                 table[(g, x)] = y
-                self.spans[("act", g, x)] = Span(line, col)
             else:
                 self.err("E_SYNTAX", f"unexpected directive {head!r} in action block", line, col)
         return name, PartialAction(tuple(sorted(points)), table)
 
-    def topology_block(self, header_line, kind, carrier):
-        self.spans[("topology", kind)] = Span(header_line, 1)
+    def topology_block(self, header_line, carrier):
         known = set(carrier)
         opens: set[frozenset] = {frozenset()}
         declared: set[frozenset] = set()
@@ -331,14 +308,14 @@ class _Parser:
                 self.err("E_DUP_DEF", "duplicate open set", line, col)
             declared.add(u)
             opens.add(u)
-            self.spans[("open", kind, tuple(sorted(u)))] = Span(line, col)
         if frozenset(carrier) not in opens:
             self.err("E_TOP_NO_TOTAL", "the full carrier is not listed as open", header_line, 1)
         return FiniteTopology(tuple(carrier), frozenset(opens))
 
 
 def parse(text: str) -> Scenario:
-    """Parse scenario text; raises :class:`ParseError` with code and span."""
+    """Parse scenario text into a :class:`Scenario`; raises :class:`ParseError`
+    with a code, a line and a column."""
     return _Parser(text).parse()
 
 

@@ -636,11 +636,12 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     swaps = [renaming([(p, q), (q, p)]) for ps in groups.values() for p, q in itertools.combinations(ps, 2)]
     found: list[dict] = []
 
-    def beaten() -> bool:
-        """Whether some swap of two fresh points makes every completion of
+    def beaten(moves: list[tuple[list[int], list[int]]]) -> bool:
+        """Whether one of the renamings ``moves`` makes every completion of
         the set cells lexicographically smaller: it does on the first cell
-        where the swapped vector differs, if every cell it reads so far is set."""
-        for to, src in swaps:
+        where the renamed vector differs, if every cell it reads so far is
+        set.  On a full table this is the plain lexicographic test."""
+        for to, src in moves:
             for c, v in enumerate(val):
                 w = val[src[c]]
                 if v < 0 or w < 0:
@@ -657,14 +658,14 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
         if i < len(branch):
             c, mark = branch[i], len(trail)
             for v in values[c]:
-                if assign(c, v) and not beaten():
+                if assign(c, v) and not beaten(swaps):
                     fill(i + 1)
                 undo(mark)
             return
         for combo in itertools.product(*free_values):
             for c, v in zip(free, combo):
                 val[c] = v
-            if not any([to[val[c]] for c in src] < val for to, src in renamings):
+            if not beaten(renamings):
                 found.append(dict(zip(keys, [pts[val[c]] for c in cells])))
         for c in free:
             val[c] = -1

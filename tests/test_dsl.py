@@ -1,6 +1,8 @@
 """Tests for the scenario text format: parsing, errors, and canonical output."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,7 +13,6 @@ from pcat import (
     ParseError,
     PartialAction,
     Scenario,
-    Span,
     build_globalization,
     check_category_axioms,
     globalization_to_scenario,
@@ -47,13 +48,6 @@ def test_parse_arrow_small_structure():
         ("g", "2"): "2",
     }
     assert sc.top_mor is None and sc.top_space is None and sc.gfun is None
-
-
-def test_parse_records_spans():
-    sc = parse(fixture_text("arrow_small"))
-    assert sc.spans[("category", "arrow")] == Span(1, 10)
-    assert sc.spans[("mor", "g")] == Span(4, 7)
-    assert sc.spans[("point", "1")] == Span(7, 9)
 
 
 def test_parse_topology_and_gfun_blocks():
@@ -257,59 +251,49 @@ def test_fast_path_errors_match_the_lexer(text, code, line, col, monkeypatch):
 
 ISO_SHIFT = fixture_text("iso_shift")
 
-# Respellings of iso_shift's act, comp and point lines, with some of the spans
-# the regex lexer gives them.
+# Respellings of iso_shift's act, comp and point lines.
 SPELLINGS = [
-    ("crlf", ISO_SHIFT.replace("\n", "\r\n"), {("act", "g", "1"): Span(16, 3)}),
+    ("crlf", ISO_SHIFT.replace("\n", "\r\n")),
     (
         "tabs",
         ISO_SHIFT.replace("  ", "\t")
         .replace("act g 1 = 2", "act\tg\t1\t=\t2")
         .replace("comp g . g_inv", "comp\tg\t.\tg_inv"),
-        {("act", "g", "1"): Span(16, 2), ("comp", "g", "g_inv"): Span(6, 2), ("point", "1"): Span(10, 8)},
     ),
     (
         "non-ascii whitespace",
         ISO_SHIFT.replace("  point 1 2", "\xa0point 1\u30002")
         .replace("  act g_inv", "\u2003act\u2003g_inv")
         .replace("  comp g_inv", "\u3000comp g_inv"),
-        {("act", "g_inv", "2"): Span(18, 2), ("comp", "g_inv", "g"): Span(7, 2), ("point", "2"): Span(10, 10)},
     ),
     (
         "comments",
         ISO_SHIFT.replace("act g 1 = 2", "act g 1 = 2  # step")
         .replace("point 1 2 3", "point 1 2 3 # carrier")
         .replace("comp g . g_inv = f", "comp g . g_inv = f#id"),
-        {("act", "g", "1"): Span(16, 3), ("comp", "g", "g_inv"): Span(6, 3), ("point", "3"): Span(10, 13)},
     ),
     (
         "glued",
         ISO_SHIFT.replace("act g 1 = 2", "act g 1=2")
         .replace("comp g_inv . g = e", "comp g_inv.g = e")
         .replace("  act e 3 = 3", "act e 3 =3"),
-        {("act", "g", "1"): Span(16, 3), ("act", "e", "3"): Span(13, 1), ("comp", "g_inv", "g"): Span(7, 3)},
     ),
-    (
-        "two point lines",
-        ISO_SHIFT.replace("point 1 2 3", "point 2\n  point 3   1"),
-        {("point", "1"): Span(11, 13), ("point", "2"): Span(10, 9), ("act", "g", "1"): Span(17, 3)},
-    ),
+    ("two point lines", ISO_SHIFT.replace("point 1 2 3", "point 2\n  point 3   1")),
 ]
 
 
-@pytest.mark.parametrize("name,text,spans", SPELLINGS, ids=[s[0] for s in SPELLINGS])
-def test_fast_path_spellings_parse_like_the_lexer(name, text, spans, monkeypatch):
+@pytest.mark.parametrize("name,text", SPELLINGS, ids=[s[0] for s in SPELLINGS])
+def test_fast_path_spellings_parse_like_the_lexer(name, text, monkeypatch):
     fast = parse(text)
     assert fast == parse(ISO_SHIFT)
-    assert {key: fast.spans[key] for key in spans} == spans
     _lexer_only(monkeypatch)
     slow = parse(text)
-    assert fast == slow and fast.spans == slow.spans
+    assert fast == slow
 
 
-def test_fast_path_tokenizes_no_well_formed_act_comp_or_point_line(monkeypatch):
-    # 600 points of 150 regular Z4 copies: 2400 act lines, 9 comp lines
-    # between non-identity arrows, one point line.
+def _z4_copies():
+    """600 points of 150 regular Z4 copies: 2400 act lines, 9 comp lines
+    between non-identity arrows, one point line."""
     z4 = group_category("z4")
     names = ["e", "m1", "m2", "m3"]
     points = [f"p{c}_{h}" for c in range(150) for h in range(4)]
@@ -320,7 +304,11 @@ def test_fast_path_tokenizes_no_well_formed_act_comp_or_point_line(monkeypatch):
         for h in range(4)
     }
     act = PartialAction.make(points, steps)
-    text = serialize(Scenario("z4", "copies", z4, act, None, None, None))
+    return z4, act, serialize(Scenario("z4", "copies", z4, act, None, None, None))
+
+
+def test_fast_path_tokenizes_no_well_formed_act_comp_or_point_line(monkeypatch):
+    z4, act, text = _z4_copies()
     lexed = []
     plain = dsl._tokens
     monkeypatch.setattr(dsl, "_tokens", lambda line: lexed.append(line.split()[:1]) or plain(line))
@@ -328,6 +316,23 @@ def test_fast_path_tokenizes_no_well_formed_act_comp_or_point_line(monkeypatch):
     assert sc.category == z4 and sc.action == act
     assert lexed and ["object"] in lexed
     assert [head for head in lexed if head in (["act"], ["comp"], ["point"])] == []
+
+
+def test_parsed_scenario_keeps_about_ten_bytes_per_text_byte():
+    # The category, the 2400-entry table and the carrier take about 10 bytes
+    # per byte of the 60 kB text; a per-entry source position doubles that.
+    _, _, text = _z4_copies()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sc = parse(text)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sc.action.carrier
+    assert kept < 15 * len(text), (kept, len(text))
 
 
 JSON_EDGES = [
