@@ -2,7 +2,9 @@
 
 Exit codes: 0 for success, 1 for a semantic failure (an axiom or property
 violation in an otherwise well-formed scenario), 2 for unreadable or
-unparsable input.  Identical inputs produce byte-identical output.
+unparsable input, or for a run that ran out of memory (one stderr line, and
+what stdout still buffers is dropped).  Identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -349,6 +351,11 @@ def main(argv=None) -> int:
         print(f"pcat: stdout: {exc}", file=sys.stderr)
         _drop_stdout()
         return 1
+    except MemoryError:
+        pass  # leaving the handler frees the run's frames before the line is written
+    print("pcat: out of memory", file=sys.stderr)
+    _drop_stdout()
+    return 2
 
 
 def run() -> None:

@@ -27,7 +27,7 @@ import itertools
 from itertools import repeat
 from operator import itemgetter
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .category import Category
 from .action import AxiomReport, PartialAction, Verdict, check_category_axioms
@@ -441,33 +441,48 @@ def mediating_candidates(glob: Globalization, target: PartialAction, j: Mapping)
     assignment is dropped once an equivariance instance among its assigned
     classes fails.  Each instance is checked at the depth that decides it,
     so every complete assignment that survives is equivariant.  Intended
-    for desk-scale uniqueness audits.
+    for desk-scale uniqueness audits.  One call of :func:`_candidate_search`,
+    whose set-up a receiver sweep builds once.
     """
+    return _candidate_search(glob, j)(target)
+
+
+def _candidate_search(glob: Globalization, j: Mapping) -> Callable[[PartialAction], list[dict]]:
+    """The search of :func:`mediating_candidates` for a fixed ``glob`` and
+    ``j``, as a function of the target.  The pinned values, the order of the
+    free classes and the instances each depth decides are built here, once;
+    the returned function runs the exhaustive search on one target."""
     pinned = {glob.embed[x]: j[x] for x in glob.source.carrier}
     free = [c[0] for c in glob.classes if c[0] not in pinned]
-    if (target.carrier or not free) and not set(pinned.values()) <= set(target.carrier):
-        # Some candidate exists, and every one leaves the target carrier.
-        raise ValueError("map leaves the target carrier")
+    images = set(pinned.values())
     # The instance (g, x) -> y is decided once the later of x and y is assigned.
     depth = {r: i for i, r in enumerate(free, 1)}
     checks: list[list] = [[] for _ in range(len(free) + 1)]
     for (g, x), y in glob.action.items():
         checks[max(depth.get(x, 0), depth.get(y, 0))].append((g, x, y))
-    cand = dict(pinned)
-    found = []
 
-    def extend(i: int) -> None:
-        if any(target.table.get((g, cand[x])) != cand[y] for g, x, y in checks[i]):
-            return
-        if i == len(free):
-            found.append(dict(cand))
-            return
-        for v in target.carrier:
-            cand[free[i]] = v
-            extend(i + 1)
+    def search(target: PartialAction) -> list[dict]:
+        if (target.carrier or not free) and not images <= set(target.carrier):
+            # Some candidate exists, and every one leaves the target carrier.
+            raise ValueError("map leaves the target carrier")
+        step = target.table.get
+        cand = dict(pinned)
+        found = []
 
-    extend(0)
-    return found
+        def extend(i: int) -> None:
+            if any(step((g, cand[x])) != cand[y] for g, x, y in checks[i]):
+                return
+            if i == len(free):
+                found.append(dict(cand))
+                return
+            for v in target.carrier:
+                cand[free[i]] = v
+                extend(i + 1)
+
+        extend(0)
+        return found
+
+    return search
 
 
 def _fresh_points(existing, count: int) -> list[str]:
@@ -501,8 +516,8 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     ``act.carrier``) of equal fibre signature.  A table is kept iff none of
     them gives a lexicographically smaller vector, and a branch is cut once
     a swap of two fresh points makes every completion smaller.  Yields each
-    kept table keyed by (morphism, point), rows in ``cat.morphisms`` order,
-    in the order the depth-first search completes them.
+    kept table as the search completes it, keyed by (morphism, point), rows
+    in ``cat.morphisms`` order.
     """
     objects = set(cat.objects)
     pts = sorted(set().union(*sets.values()), key=str)
@@ -607,7 +622,7 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     for (m, z), v in act.table.items():
         if m in linked:
             if not assign(row[m][pid[z]], pid[v]):
-                return iter(())
+                return
         elif m not in objects:
             val[row[m][pid[z]]] = pid[v]
     free = [c for c in free if val[c] < 0]
@@ -634,7 +649,6 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
         for images in itertools.islice(stabilizer, 1, None)
     ]
     swaps = [renaming([(p, q), (q, p)]) for ps in groups.values() for p, q in itertools.combinations(ps, 2)]
-    found: list[dict] = []
 
     def beaten(moves: list[tuple[list[int], list[int]]]) -> bool:
         """Whether one of the renamings ``moves`` makes every completion of
@@ -652,26 +666,25 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
                     break
         return False
 
-    def fill(i: int) -> None:
+    def fill(i: int) -> Iterator[dict]:
         while i < len(branch) and val[branch[i]] >= 0:
             i += 1
         if i < len(branch):
             c, mark = branch[i], len(trail)
             for v in values[c]:
                 if assign(c, v) and not beaten(swaps):
-                    fill(i + 1)
+                    yield from fill(i + 1)
                 undo(mark)
             return
         for combo in itertools.product(*free_values):
             for c, v in zip(free, combo):
                 val[c] = v
             if not beaten(renamings):
-                found.append(dict(zip(keys, [pts[val[c]] for c in cells])))
+                yield dict(zip(keys, [pts[val[c]] for c in cells]))
         for c in free:
             val[c] = -1
 
-    fill(0)
-    return iter(found)
+    yield from fill(0)
 
 
 def enumerate_globalizations(
@@ -687,8 +700,16 @@ def enumerate_globalizations(
     table per orbit of the renamings that fix the choice, so no two
     receivers are isomorphic.  The list is in the order the search makes
     them: carrier size ascending, then fibre choices in product order, then
-    each choice's tables in depth-first order.
+    each choice's tables in depth-first order.  It is the whole of
+    :func:`_receivers`, which the sweeps draw from one receiver at a time.
     """
+    return list(_receivers(cat, act, max_size))
+
+
+def _receivers(cat: Category, act: PartialAction, max_size: int) -> Iterator[tuple[PartialAction, dict]]:
+    """The receivers of :func:`enumerate_globalizations`, in its order, each
+    made as the search reaches it; j is the inclusion in every one.  Raises
+    at the first ``next`` for a ``max_size`` outside 1-8 or a C1-C3 failure."""
     if not 1 <= max_size <= 8:
         raise ValueError("max_size must be between 1 and 8")
     _require_c123(cat, act)
@@ -697,7 +718,6 @@ def enumerate_globalizations(
     for (g, x) in act.table:
         trip_dom.setdefault(g, set()).add(x)
 
-    receivers: list[tuple[PartialAction, dict]] = []
     for n in range(len(X), max_size + 1):
         aux = _fresh_points(X, n - len(X))
         Z = sorted(X + aux, key=str)
@@ -728,5 +748,4 @@ def enumerate_globalizations(
             if any(a < b for a, b in zip(sig, sig[1:])):
                 continue
             for table in _functors(cat, sets, act):
-                receivers.append((PartialAction(carrier, table), {x: x for x in X}))
-    return receivers
+                yield PartialAction(carrier, table), {x: x for x in X}

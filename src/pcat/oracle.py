@@ -8,7 +8,9 @@ enumerated receivers, and the C1-C3 verdicts vs direct one-object
 group/monoid checks.  All randomness flows through an injected
 ``random.Random`` so runs are reproducible from a seed.  Enumerated
 receivers meet the contract of ``mediating`` by construction and are not
-re-checked; relabeled quotients are.
+re-checked; relabeled quotients are.  A sweep takes its receivers one at a
+time as the enumerator makes them, and builds the candidate search's set-up
+once: it depends only on the quotient and j, the inclusion in every one.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ from .category import Category
 from .action import PartialAction, check_category_axioms, check_groupoid_axioms
 from . import fixtures
 from .globalization import (
+    _candidate_search,
     _fresh_points,
     _mediate,
     _one_step,
+    _receivers,
     build_xbar,
     build_globalization,
     equiv_closure,
-    enumerate_globalizations,
     induces_source,
     mediating,
-    mediating_candidates,
     naive_closure,
     sim_pairs,
 )
@@ -454,11 +456,10 @@ def _receiver_bound(classes: int, carrier: int, max_size: Optional[int]) -> int:
     return max(top, carrier)
 
 
-def _factorization_failure(glob, target: PartialAction, j) -> Optional[str]:
-    """None when the mediating map is the only equivariant extension of ``j``
-    into ``target``, else the failure line."""
-    k = _mediate(glob, target, j)
-    cands = mediating_candidates(glob, target, j)
+def _factorization_failure(search: Callable, target: PartialAction, k: dict) -> Optional[str]:
+    """None when the mediating map ``k`` is the only equivariant map that
+    the candidate ``search`` finds into ``target``, else the failure line."""
+    cands = search(target)
     if len(cands) != 1 or cands[0] != k:
         return f"receiver admits {len(cands)} factorizations"
     return None
@@ -475,7 +476,9 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
     the quotient when its mediating map k is bijective and it has as many
     steps as the quotient: k is equivariant, so it then maps the quotient's
     steps one-to-one onto the receiver's and is an isomorphism fixing the
-    carrier."""
+    carrier.  One pass takes the receivers one at a time and mediates into
+    each once; a fixture's lines come in the order quotient missing,
+    reflection, bijection, then its receivers in enumeration order."""
     failures = []
     ran = 0
     for name, make in fixtures.FIXTURES.items():
@@ -483,25 +486,32 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
         glob = build_globalization(cat, act)
         size = len(glob.classes)
         bound = _receiver_bound(size, len(act.carrier), max_size)
-        targets = enumerate_globalizations(cat, act, bound)
-        if bound >= size and not any(
-            len(t.carrier) == size
-            and len(t.table) == len(glob.action)
-            and len(set(_mediate(glob, t, j).values())) == size
-            for t, j in targets
-        ):
+        ident = {x: x for x in act.carrier}
+        search = _candidate_search(glob, ident)
+        missing = bound >= size
+        lines = []
+        for target, j in _receivers(cat, act, bound):
+            ran += 1
+            k = _mediate(glob, target, j)
+            if (
+                missing
+                and len(target.carrier) == size
+                and len(target.table) == len(glob.action)
+                and len(set(k.values())) == size
+            ):
+                missing = False
+            failure = _factorization_failure(search, target, k)
+            if failure:
+                lines.append(f"{name}: {failure}")
+        if missing:
             failures.append(f"{name}: quotient missing from enumerated receivers")
         y_relabeled = _relabel_as_extension(glob)
-        if not induces_source(cat, act, y_relabeled, {x: x for x in act.carrier}).ok:
+        if not induces_source(cat, act, y_relabeled, ident).ok:
             failures.append(f"{name}: quotient does not reflect definedness")
-        k_self = mediating(glob, y_relabeled, {x: x for x in act.carrier})
+        k_self = mediating(glob, y_relabeled, ident)
         if sorted(k_self.values(), key=str) != sorted(y_relabeled.carrier, key=str):
             failures.append(f"{name}: mediating map onto the quotient itself is not bijective")
-        for target, j in targets:
-            ran += 1
-            failure = _factorization_failure(glob, target, j)
-            if failure:
-                failures.append(f"{name}: {failure}")
+        failures += lines
     return SuiteResult("universality", ran, tuple(failures))
 
 
@@ -546,7 +556,7 @@ def suite_groupoid_injectivity(
             continue
         produced += 1
         bound = _receiver_bound(len(glob.classes), len(act.carrier), max_size)
-        for target, j in enumerate_globalizations(cat, act, bound):
+        for target, j in _receivers(cat, act, bound):
             if not induces_source(cat, act, target, j).ok:
                 continue
             ran += 1
@@ -626,9 +636,10 @@ def suite_scenario(cat: Category, act: PartialAction, max_size: int) -> SuiteRes
         failures.append("closures disagree")
     if len(act.carrier) <= 8:
         bound = _receiver_bound(len(glob.classes), len(act.carrier), max_size)
-        for target, j in enumerate_globalizations(cat, act, bound):
+        search = _candidate_search(glob, {x: x for x in act.carrier})
+        for target, j in _receivers(cat, act, bound):
             cases += 1
-            failure = _factorization_failure(glob, target, j)
+            failure = _factorization_failure(search, target, _mediate(glob, target, j))
             if failure:
                 failures.append(failure)
     return SuiteResult("scenario", cases, tuple(failures))

@@ -1,10 +1,15 @@
-"""Shared test helpers: repo paths, fixture loading, CLI capture."""
+"""Shared test helpers: repo paths, fixture loading, CLI capture, shared
+scenarios and traced memory peaks."""
 
 import contextlib
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from pcat import PartialAction
+from pcat.oracle import chain_category
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO / "fixtures"
@@ -63,3 +68,27 @@ def run_cli_chunks(argv: list[str]) -> tuple[int, list[str], str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.chunks, err.getvalue()
+
+
+def chain_scenario():
+    """Four points over the chain a -> b -> c; half its 8 classes are fresh."""
+    table = {("a", x): x for x in "1234"}
+    table.update({("b", x): x for x in "234"})
+    table.update({("c", x): x for x in "1234"})
+    steps = {("p", "2"): "2", ("p", "3"): "3", ("q", "3"): "4"}
+    steps.update({("qp", "1"): "1", ("qp", "3"): "4", ("qp", "4"): "4"})
+    table.update(steps)
+    return chain_category(), PartialAction(("1", "2", "3", "4"), table)
+
+
+def traced_peak(fn):
+    """Run ``fn()`` under tracemalloc; returns (its result, the traced peak in
+    bytes above what was traced when it started)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base

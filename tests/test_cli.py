@@ -347,6 +347,24 @@ def test_json_output_is_json_dumps_bytes(monkeypatch):
     assert streamed == {"action", "classes", "k"}
 
 
+def test_a_run_out_of_memory_ends_in_one_line_and_exit_2(monkeypatch):
+    import pcat.cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pcat.cli, "run_oracle", exhausted)
+    monkeypatch.setattr(pcat.cli, "build_globalization", exhausted)
+    target = fx("arrow_small_target")
+    for argv in (
+        ["oracle", "--max-size", "3"],
+        ["globalize", fx("arrow_small")],
+        ["mediate", "--json", "--target", target, fx("arrow_small")],
+        ["topo", fx("arrow_small_topo")],
+    ):
+        assert run_cli(argv) == (2, "", "pcat: out of memory\n"), argv
+
+
 def test_globalize_writes_its_output_as_it_is_rendered(tmp_path, monkeypatch):
     # Stdout and the --target-out file each get many small chunks, each
     # written as it is made: none is more than one line of text or one

@@ -39,7 +39,6 @@ from pcat.globalization import (
 from pcat.oracle import (
     _relabel_as_extension,
     _table_category,
-    chain_category,
     connected_groupoid,
     group_category,
     random_category,
@@ -48,7 +47,7 @@ from pcat.oracle import (
 )
 
 import reference_enumerator as reference
-from conftest import FIXTURE_DIR, REPO, fixture_text
+from conftest import FIXTURE_DIR, REPO, chain_scenario, fixture_text
 from test_action import s3_restriction
 
 STEMS = ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift")
@@ -601,22 +600,11 @@ def test_mediating_candidates_match_the_product_search():
     assert any(isinstance(o, tuple) for o in outcomes)
 
 
-def _chain_scenario():
-    """Four points over the chain a -> b -> c; half its 8 classes are fresh."""
-    table = {("a", x): x for x in "1234"}
-    table.update({("b", x): x for x in "234"})
-    table.update({("c", x): x for x in "1234"})
-    steps = {("p", "2"): "2", ("p", "3"): "3", ("q", "3"): "4"}
-    steps.update({("qp", "1"): "1", ("qp", "3"): "4", ("qp", "4"): "4"})
-    table.update(steps)
-    return chain_category(), PartialAction(("1", "2", "3", "4"), table)
-
-
 def test_mediating_candidates_prune_the_product_of_free_classes():
     # An 8-point receiver: one fresh point w0 over all three objects, and
     # w1-w3 over c alone.  The product search checks 8 ** 4 candidates,
     # about 0.1 s on a 2-core x86-64 VM; the pruned search about 0.1 ms.
-    cat, act = _chain_scenario()
+    cat, act = chain_scenario()
     glob = build_globalization(cat, act)
     assert len(glob.classes) == 8
     points = ("1", "2", "3", "4", "w0", "w1", "w2", "w3")
@@ -812,7 +800,7 @@ def test_quotient_action_matches_the_reference_loop_in_insertion_order():
 
 def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch):
     cases = [make() for make in FIXTURES.values()]
-    cases += [_chain_scenario(), _z4_swap()]
+    cases += [chain_scenario(), _z4_swap()]
     for s in range(3):
         cat, kept, table = s3_restriction(random.Random(s))
         cases.append((cat, PartialAction.make(kept, table)))
@@ -893,7 +881,7 @@ def test_receiver_tables_do_not_depend_on_the_hash_seed():
 
 
 def test_build_globalization_names_the_missing_composite():
-    cat, act = _chain_scenario()
+    cat, act = chain_scenario()
     comp = {key: k for key, k in cat.comp.items() if key != ("q", "p")}
     broken = Category(cat.objects, cat.morphisms, cat.dom, cat.cod, comp)
     with pytest.raises(ValueError) as info:

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from pcat import (
+    Verdict,
     build_globalization,
     check_category_axioms,
     check_g_function,
@@ -49,7 +50,7 @@ from pcat.oracle import (
 )
 
 import reference_enumerator as reference
-from conftest import fixture_text
+from conftest import chain_scenario, fixture_text, traced_peak
 
 
 def test_group_category_structure():
@@ -218,21 +219,79 @@ def test_every_receiver_of_the_bound_6_universality_sweep_is_checked_once():
     assert checked == 5528
 
 
-def test_universality_suite_reports_a_quotient_missing_from_the_receivers(monkeypatch):
-    # Drops the copy of each fixture's quotient, found by the reference key.
-    # Forty 4-point receivers of arrow_small still get a bijective mediating
-    # map, so a bijection alone must not count as finding the quotient.
-    enumerate_all = oracle.enumerate_globalizations
+def _without_the_quotient(monkeypatch):
+    """Make the suites draw receivers without the copy of each quotient,
+    found by the reference key."""
+    receivers = oracle._receivers
 
     def without_the_quotient(cat, act, bound):
         key = reference.receiver_key(act)
         quotient = key(_relabel_as_extension(build_globalization(cat, act)))
-        return [(t, j) for t, j in enumerate_all(cat, act, bound) if key(t) != quotient]
+        return ((t, j) for t, j in receivers(cat, act, bound) if key(t) != quotient)
 
-    monkeypatch.setattr(oracle, "enumerate_globalizations", without_the_quotient)
+    monkeypatch.setattr(oracle, "_receivers", without_the_quotient)
+
+
+def test_universality_suite_reports_a_quotient_missing_from_the_receivers(monkeypatch):
+    # Forty 4-point receivers of arrow_small still get a bijective mediating
+    # map, so a bijection alone must not count as finding the quotient.
+    _without_the_quotient(monkeypatch)
     res = suite_universality(max_size=6)
     for name in FIXTURES:
         assert f"{name}: quotient missing from enumerated receivers" in res.failures
+
+
+def test_universality_suite_lists_each_fixtures_failures_in_order(monkeypatch):
+    # Every fixture misses its quotient, fails reflection and gets a
+    # collapsing map onto its own quotient; the second and fifth receivers
+    # of arrow_small get two and three factorizations.  The lines come per
+    # fixture: quotient missing, reflection, bijection, then its receivers.
+    _without_the_quotient(monkeypatch)
+    monkeypatch.setattr(oracle, "induces_source", lambda *args: Verdict("induces_source", (("e", "1"),)))
+
+    def collapsing(glob, target, j):
+        return dict.fromkeys(mediating(glob, target, j), target.carrier[0])
+
+    monkeypatch.setattr(oracle, "mediating", collapsing)
+    candidate_search = oracle._candidate_search
+    arrow_small = FIXTURES["arrow_small"]()[1]
+
+    def repeated(glob, j):
+        search, seen = candidate_search(glob, j), []
+
+        def twice_or_thrice(target):
+            seen.append(target)
+            times = {2: 2, 5: 3}.get(len(seen), 1) if glob.source == arrow_small else 1
+            return search(target) * times
+
+        return twice_or_thrice
+
+    monkeypatch.setattr(oracle, "_candidate_search", repeated)
+    want = []
+    for name in FIXTURES:
+        want += [
+            f"{name}: quotient missing from enumerated receivers",
+            f"{name}: quotient does not reflect definedness",
+            f"{name}: mediating map onto the quotient itself is not bijective",
+        ]
+        if name == "arrow_small":
+            want += [f"{name}: receiver admits 2 factorizations", f"{name}: receiver admits 3 factorizations"]
+    assert suite_universality(max_size=6).failures == tuple(want)
+
+
+def test_universality_sweep_holds_one_receiver_at_a_time():
+    # Holding the 5,528 receivers at once peaked at about 5.2 MB.
+    res, peak = traced_peak(lambda: suite_universality(6))
+    assert res.ok and res.cases == 5528
+    assert peak < 1_000_000, peak
+
+
+def test_scenario_sweep_holds_one_receiver_at_a_time():
+    # Holding its 9,346 receivers at once peaked at about 14.3 MB.
+    cat, act = chain_scenario()
+    res, peak = traced_peak(lambda: suite_scenario(cat, act, 5))
+    assert res.ok and res.cases == 9347
+    assert peak < 2_000_000, peak
 
 
 def test_mediating_maps_of_the_bound_6_sweep_and_fixture_quotients_are_equivariant():
