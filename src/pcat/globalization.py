@@ -702,17 +702,21 @@ def enumerate_globalizations(
     them: carrier size ascending, then fibre choices in product order, then
     each choice's tables in depth-first order.  It is the whole of
     :func:`_receivers`, which the sweeps draw from one receiver at a time.
+    Raises ``ValueError`` for a ``max_size`` outside 1-8, then
+    :class:`AxiomError` when C1-C3 fail.
     """
+    if not 1 <= max_size <= 8:
+        raise ValueError("max_size must be between 1 and 8")
+    _require_c123(cat, act)
     return list(_receivers(cat, act, max_size))
 
 
 def _receivers(cat: Category, act: PartialAction, max_size: int) -> Iterator[tuple[PartialAction, dict]]:
     """The receivers of :func:`enumerate_globalizations`, in its order, each
-    made as the search reaches it; j is the inclusion in every one.  Raises
-    at the first ``next`` for a ``max_size`` outside 1-8 or a C1-C3 failure."""
-    if not 1 <= max_size <= 8:
-        raise ValueError("max_size must be between 1 and 8")
-    _require_c123(cat, act)
+    made as the search reaches it; j is the inclusion in every one.  Its
+    callers check the input: :func:`enumerate_globalizations` the bound and
+    C1-C3, and each sweep builds the globalization, which checks C1-C3,
+    before it draws receivers up to a bound within 1-8."""
     X = list(act.carrier)
     trip_dom: dict[str, set] = {}
     for (g, x) in act.table:

@@ -1,15 +1,15 @@
 """Finite topologies and continuity checks for topologized partial actions.
 
 A finite topology is held as the minimal open neighborhood U_x of each point
-(``Space``): every open set is a union of them, products, subspaces and
-quotients have closed forms, and a map f is continuous iff f(U_x) lies in
-U_f(x) for every x, so every verdict is decided point by point.  Explicit
-open families (``FiniteTopology``) appear only where the input spells them
-out, in the DSL's topology blocks, and in the oracles.  Every check takes a
-``Space``; ``Space.from_topology`` converts a validated family.  A failing
-verdict's witnesses are the points its U_x test rejects, sorted, so they
-never outnumber the verdict's domain and no open family is spelled out to
-find them.
+(``Space``): every open set is a union of them, the quotient of the
+globalization is read off them in place, and a map f is continuous iff
+f(U_x) lies in U_f(x) for every x, so every verdict is decided point by
+point.  Explicit open families (``FiniteTopology``) appear only where the
+input spells them out, in the DSL's topology blocks, and in the oracles.
+Every check takes a ``Space``; ``Space.from_topology`` converts a validated
+family.  A failing verdict's witnesses are the points its U_x test rejects,
+sorted, so they never outnumber the verdict's domain and no open family is
+spelled out to find them.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class Space:
     """A finite topology presented by the minimal open neighborhood of each point.
 
     The canonical form: discrete spaces, spaces read off a valid family, and
-    their products, subspaces and quotients are valid by construction, and
-    none of them spells out its open family.
+    the quotient of a globalization are valid by construction, and none of
+    them spells out its open family.
     """
 
     __slots__ = ("carrier", "nbhd")
@@ -103,52 +103,6 @@ class Space:
     def discrete(cls, carrier) -> "Space":
         pts = sorted(set(carrier), key=_skey)
         return cls(pts, {p: frozenset((p,)) for p in pts})
-
-    @classmethod
-    def product(cls, a: "Space", b: "Space") -> "Space":
-        carrier = [(x, y) for x in a.carrier for y in b.carrier]
-        nbhd = {
-            (x, y): frozenset(itertools.product(a.nbhd[x], b.nbhd[y]))
-            for (x, y) in carrier
-        }
-        return cls(carrier, nbhd)
-
-    def subspace(self, subset) -> "Space":
-        sub = frozenset(subset)
-        return Space(
-            [p for p in self.carrier if p in sub],
-            {p: self.nbhd[p] & sub for p in self.carrier if p in sub},
-        )
-
-    def quotient(self, class_of: Mapping) -> "Space":
-        """Quotient by the partition that ``class_of`` encodes (value = representative).
-
-        A set of representatives is open iff its preimage is; the minimal
-        neighborhood of a class is the reachability closure of the one-step
-        relation "some member's neighborhood meets the class".
-        """
-        reps = sorted({class_of[p] for p in self.carrier}, key=_skey)
-        members: dict[Any, list] = {}
-        for p in self.carrier:
-            members.setdefault(class_of[p], []).append(p)
-        step = {
-            r: frozenset(class_of[q] for p in members[r] for q in self.nbhd[p])
-            for r in reps
-        }
-        nbhd = {}
-        for r in reps:
-            reach = {r}
-            frontier = [r]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for b in step[a]:
-                        if b not in reach:
-                            reach.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            nbhd[r] = frozenset(reach)
-        return Space(reps, nbhd)
 
     def is_open(self, s) -> bool:
         sub = frozenset(s)
@@ -283,9 +237,39 @@ def check_graph_open(scn: TopScenario) -> Verdict:
 
 
 def quotient_space(scn: TopScenario, glob: Globalization) -> Space:
-    """The quotient carrier with its minimal class neighborhoods."""
-    prod = Space.product(scn.top_mor, scn.top_space)
-    return prod.subspace(set(glob.xbar.elements)).quotient(dict(glob.class_of))
+    """The quotient carrier with its minimal class neighborhoods.
+
+    The expanded carrier has the subspace topology of the product, so the
+    minimal neighborhood of a member (g, x) is the expanded-carrier pairs of
+    U_g x U_x.  A set of classes is open iff its preimage is, so the minimal
+    neighborhood of a class is the reachability closure of the one-step
+    relation "some member's neighborhood meets the class".  Each distinct
+    (U_g, U_x) is read once, and no product neighborhood is stored.
+    """
+    class_of = glob.class_of
+    mor, space = scn.top_mor.nbhd, scn.top_space.nbhd
+    near: dict[tuple, frozenset] = {}
+    step: dict[Any, set] = {}
+    for g, x in glob.xbar.elements:
+        key = (mor[g], space[x])
+        if key not in near:
+            near[key] = frozenset(class_of[p] for p in itertools.product(*key) if p in class_of)
+        step.setdefault(class_of[(g, x)], set()).update(near[key])
+    reps = sorted(step, key=_skey)
+    nbhd = {}
+    for r in reps:
+        reach = {r}
+        frontier = [r]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in step[a]:
+                    if b not in reach:
+                        reach.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        nbhd[r] = frozenset(reach)
+    return Space(reps, nbhd)
 
 
 def check_embedding_open(

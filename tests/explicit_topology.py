@@ -8,7 +8,9 @@ where a map fails to be continuous or open; the others list the witness opens
 and serve as verdict oracles.
 """
 
-from pcat import FiniteTopology, Space
+import itertools
+
+from pcat import FiniteTopology
 from pcat.topology import _skey
 
 
@@ -26,8 +28,16 @@ def min_nbhd(t: FiniteTopology, p) -> frozenset:
 
 
 def product_topology(a: FiniteTopology, b: FiniteTopology) -> FiniteTopology:
-    """Explicit product topology; exponential in general, meant for small carriers."""
-    return Space.product(Space.from_topology(a), Space.from_topology(b)).to_topology()
+    """Explicit product topology: the union closure of the rectangles u x v
+    over the opens u of ``a`` and v of ``b``.  Exponential in general, meant
+    for small carriers.  Smaller rectangles come first, so a rectangle that
+    is already a union of earlier ones adds nothing and is skipped."""
+    opens = {frozenset()}
+    rects = {frozenset(itertools.product(u, v)) for u in a.opens for v in b.opens}
+    for r in sorted(rects, key=len):
+        if r not in opens:
+            opens |= {w | r for w in opens}
+    return FiniteTopology(tuple(itertools.product(a.carrier, b.carrier)), frozenset(opens))
 
 
 def subspace_topology(t: FiniteTopology, subset) -> FiniteTopology:

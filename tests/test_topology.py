@@ -1,9 +1,11 @@
 """Tests for finite topologies, continuity checks, and the topologized quotient."""
 
+import itertools
 import random
 
 from pcat import (
     FiniteTopology,
+    PartialAction,
     Space,
     TopScenario,
     build_globalization,
@@ -17,12 +19,20 @@ from pcat import (
     topologize_globalization,
     validate_topology,
 )
-from pcat.topology import _discontinuities
-from pcat.oracle import group_category, random_topology, random_valid_action, small_category
+from pcat.topology import _discontinuities, _skey
+from pcat.oracle import (
+    group_category,
+    random_category,
+    random_points,
+    random_topology,
+    random_valid_action,
+    small_category,
+)
 
 import explicit_topology as explicit
-from conftest import fixture_text
-from explicit_topology import min_nbhd, product_topology, quotient_topology, subspace_topology
+from conftest import fixture_text, traced_peak
+from explicit_topology import min_nbhd, product_topology, quotient_topology
+from test_action import s3_restriction
 
 fs = frozenset
 
@@ -81,28 +91,21 @@ def test_space_opens_matches_brute_force():
 
 
 def test_product_dual_route_and_brute_force():
+    # The union closure of the rectangles against the pointwise definition:
+    # a set W of pairs is open iff U_p x U_q lies in W for each (p, q) in W.
     rng = random.Random(11)
     for _ in range(25):
         a = random_topology(rng, "ab")
         b = random_topology(rng, "xyz")
         via_fn = product_topology(a, b)
-        via_space = Space.product(
-            Space.from_topology(a), Space.from_topology(b)
-        ).to_topology()
-        assert via_fn.opens == via_space.opens
         assert set(via_fn.carrier) == {(p, q) for p in "ab" for q in "xyz"}
-        assert via_fn.opens == brute_opens(Space.from_topology(via_fn))
-        assert validate_topology(via_fn).ok
-
-
-def test_subspace_dual_route():
-    rng = random.Random(23)
-    for _ in range(40):
-        t = random_topology(rng, "abcd")
-        sub = {"a", "c"}
-        via_fn = subspace_topology(t, sub)
-        via_space = Space.from_topology(t).subspace(sub).to_topology()
-        assert via_fn.opens == via_space.opens
+        near = {(p, q): fs(itertools.product(min_nbhd(a, p), min_nbhd(b, q))) for p, q in via_fn.carrier}
+        expect = set()
+        for mask in range(1 << len(via_fn.carrier)):
+            w = fs(pq for i, pq in enumerate(via_fn.carrier) if mask >> i & 1)
+            if all(near[pq] <= w for pq in w):
+                expect.add(w)
+        assert via_fn.opens == fs(expect)
         assert validate_topology(via_fn).ok
 
 
@@ -116,8 +119,6 @@ def test_quotient_dual_route_and_finest_property():
             class_of["b"] = "y"
         reps = {p: min(q for q in class_of if class_of[q] == class_of[p]) for p in class_of}
         via_fn = quotient_topology(t, reps)
-        via_space = Space.from_topology(t).quotient(reps).to_topology()
-        assert via_fn.opens == via_space.opens
         # Finest topology making the projection continuous: a set of classes
         # is open exactly when its preimage is open.
         members = {}
@@ -263,6 +264,49 @@ def test_quotient_space_carrier_is_class_representatives():
     assert set(ys.carrier) == {cls[0] for cls in glob.classes}
 
 
+def _kind(t):
+    if len(t.opens) == 2 ** len(t.carrier):
+        return "discrete"
+    return "indiscrete" if len(t.opens) == 2 else "mixed"
+
+
+def test_quotient_space_is_the_explicit_quotient_of_the_expanded_carrier():
+    # The finest topology on the classes making the projection from the
+    # expanded carrier, a subspace of the product, continuous: spelled out
+    # family by family in explicit_topology, read in place by quotient_space.
+    rng = random.Random(8)
+    kinds = set()
+    cases = 0
+    while cases < 300:
+        cat = random_category(rng)
+        act = random_valid_action(rng, cat, random_points(rng, 4), rng.uniform(0.2, 0.8))
+        if act is None or len(cat.morphisms) * len(act.carrier) > 12:
+            continue
+        cases += 1
+        top_mor = random_topology(rng, cat.morphisms)
+        top_space = random_topology(rng, act.carrier)
+        kinds |= {("mor", _kind(top_mor)), ("space", _kind(top_space))}
+        glob = build_globalization(cat, act)
+        scn = TopScenario(cat, act, Space.from_topology(top_mor), Space.from_topology(top_space))
+        got = quotient_space(scn, glob).to_topology()
+        assert got == explicit.quotient_of(top_mor, top_space, glob), (cat, act, top_mor, top_space)
+    assert kinds == {(side, k) for side in ("mor", "space") for k in ("discrete", "indiscrete", "mixed")}
+
+
+def test_quotient_space_stores_no_product_neighborhood():
+    # Spelling out U_g x U_x for every pair of the product traced 10.8 MB
+    # here: 54 morphisms, and 40 points in every carrier neighborhood.
+    cat, kept, table = s3_restriction(random.Random(1))
+    act = PartialAction.make(kept, table)
+    indiscrete = Space.from_topology(FiniteTopology.indiscrete(act.carrier))
+    scn = TopScenario(cat, act, Space.discrete(cat.morphisms), indiscrete)
+    glob = build_globalization(cat, act)
+    ys, peak = traced_peak(lambda: quotient_space(scn, glob))
+    assert len(act.carrier) == 40 and len(cat.morphisms) == 54
+    assert ys.carrier == tuple(sorted((cls[0] for cls in glob.classes), key=_skey))
+    assert peak < 1_000_000, peak
+
+
 def test_pointwise_verdicts_match_explicit_family_loops():
     # Every verdict decided on minimal neighborhoods, witness points included,
     # equals a loop over the spelled-out families the Spaces are built from;
@@ -315,13 +359,19 @@ def test_pointwise_verdicts_match_explicit_family_loops():
 
 def test_counted_opens_match_the_spelled_out_family():
     rng = random.Random(31)
-    non_t0 = 0
-    for _ in range(60):
-        sp = Space.from_topology(random_topology(rng, "abcd"))
-        quo = sp.quotient({p: rng.choice("xyz") for p in "abcd"})
+    non_t0 = quotients = 0
+    while quotients < 60:
+        cat = small_category(rng)
+        act = random_valid_action(rng, cat, tuple("123"[: rng.randint(1, 3)]), rng.uniform(0.2, 0.9))
+        if act is None:
+            continue
+        quotients += 1
+        mor = Space.from_topology(random_topology(rng, cat.morphisms))
+        pts = Space.from_topology(random_topology(rng, act.carrier))
+        quo = quotient_space(TopScenario(cat, act, mor, pts), build_globalization(cat, act))
         non_t0 += len(set(quo.nbhd.values())) < len(quo.carrier)
-        small = Space.from_topology(random_topology(rng, "ab"))
-        prod = Space.product(small, Space.from_topology(random_topology(rng, "uv")))
+        sp = Space.from_topology(random_topology(rng, "abcd"))
+        prod = Space.from_topology(product_topology(random_topology(rng, "ab"), random_topology(rng, "uv")))
         for space in (sp, quo, prod):
             assert space.count_opens() == len(space.opens()) == len(brute_opens(space))
     assert non_t0 > 0
