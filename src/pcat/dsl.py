@@ -8,6 +8,8 @@ and both LF and CRLF line endings are accepted.  Identity morphisms are
 created automatically and share their object's identifier; composites
 involving an identity are implied.  Every parse error carries a stable code
 and a 1-based line and column; a parsed scenario keeps no source positions.
+It holds one string object per identifier: every table entry, composite,
+open and ``gfun`` destination shares the object that declared the name.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class _Parser:
             where = (line, toks[0][1]) if toks else (len(self.lines), 1)
             self.err("E_SYNTAX", "expected 'action <name>' after the category block", *where)
         act_name, action = self.action_block(line, toks, category)
-        points = set(action.carrier)
+        points = {p: p for p in action.carrier}
 
         top_mor = top_space = None
         gfun: Optional[dict] = None
@@ -134,7 +136,7 @@ class _Parser:
                     self.err("E_UNKNOWN_ID", f"unknown point {dst!r}", line, toks[3][1])
                 if src in gfun:
                     self.err("E_DUP_DEF", f"duplicate gfun entry for {src!r}", line, toks[1][1])
-                gfun[src] = dst
+                gfun[src] = points[dst]
             else:
                 self.err("E_SYNTAX", f"unexpected directive {head!r}", line, col)
 
@@ -146,14 +148,16 @@ class _Parser:
         name = self.want_ident(toks[1], line, "a category name")
         objects: list[str] = []
         arrows: dict[str, tuple[str, str]] = {}
+        # every object and arrow name to the first object read for it
+        names: dict[str, str] = {}
         explicit: dict[tuple[str, str], str] = {}
 
         def fast(f):
             # comp lines of two composable non-identity arrows, not yet given
             if len(f) != 6 or f[0] != "comp" or f[2] != "." or f[4] != "=":
                 return False
-            g, h, k = f[1], f[3], f[5]
-            known = g in arrows and h in arrows and (k in arrows or k in objects)
+            g, h, k = names.get(f[1]), names.get(f[3]), names.get(f[5])
+            known = g in arrows and h in arrows and k is not None
             if not known or arrows[g][0] != arrows[h][1] or (g, h) in explicit:
                 return False
             explicit[(g, h)] = k
@@ -170,32 +174,34 @@ class _Parser:
                 if len(toks) != 2:
                     self.err("E_SYNTAX", "expected 'object <id>'", line, col)
                 obj = self.want_ident(toks[1], line, "an object identifier")
-                if obj in objects or obj in arrows:
+                if obj in names:
                     self.err("E_DUP_DEF", f"duplicate identifier {obj!r}", line, toks[1][1])
                 objects.append(obj)
+                names[obj] = obj
             elif head == "mor":
                 if len(toks) != 6 or toks[2][0] != ":" or toks[4][0] != "->":
                     self.err("E_SYNTAX", "expected 'mor <id> : <obj> -> <obj>'", line, col)
                 mid = self.want_ident(toks[1], line, "a morphism identifier")
                 d = self.want_ident(toks[3], line, "an object identifier")
                 c = self.want_ident(toks[5], line, "an object identifier")
-                if mid in objects or mid in arrows:
+                if mid in names:
                     self.err("E_DUP_DEF", f"duplicate identifier {mid!r}", line, toks[1][1])
                 if d not in objects:
                     self.err("E_UNKNOWN_ID", f"unknown object {d!r}", line, toks[3][1])
                 if c not in objects:
                     self.err("E_UNKNOWN_ID", f"unknown object {c!r}", line, toks[5][1])
-                arrows[mid] = (d, c)
+                arrows[mid] = (names[d], names[c])
+                names[mid] = mid
             elif head == "comp":
                 if len(toks) != 6 or toks[2][0] != "." or toks[4][0] != "=":
                     self.err("E_SYNTAX", "expected 'comp <g> . <h> = <k>'", line, col)
-                names = []
+                given = []
                 for t in (toks[1], toks[3], toks[5]):
                     ident = self.want_ident(t, line, "a morphism identifier")
-                    if ident not in objects and ident not in arrows:
+                    if ident not in names:
                         self.err("E_UNKNOWN_ID", f"unknown morphism {ident!r}", line, t[1])
-                    names.append(ident)
-                g, h, k = names
+                    given.append(names[ident])
+                g, h, k = given
                 span = lambda m: (m, m) if m in objects else arrows[m]
                 if span(g)[0] != span(h)[1]:
                     self.err("E_SYNTAX", f"pair ({g}, {h}) is not composable", line, col)
@@ -222,8 +228,9 @@ class _Parser:
         if len(toks) != 2:
             self.err("E_SYNTAX", "expected 'action <name>'", line, toks[-1][1])
         name = self.want_ident(toks[1], line, "an action name")
-        points: set[str] = set()
-        morphisms = set(category.morphisms)
+        # each name to the first object read for it, the category's own for morphisms
+        points: dict[str, str] = {}
+        morphisms = {m: m for m in category.morphisms}
         table: dict[tuple[str, str], str] = {}
 
         def fast(f):
@@ -231,8 +238,8 @@ class _Parser:
             if f[0] == "act":
                 if len(f) != 5 or f[3] != "=":
                     return False
-                g, x, y = f[1], f[2], f[4]
-                if g not in morphisms or x not in points or y not in points or (g, x) in table:
+                g, x, y = morphisms.get(f[1]), points.get(f[2]), points.get(f[4])
+                if g is None or x is None or y is None or (g, x) in table:
                     return False
                 table[(g, x)] = y
                 return True
@@ -240,9 +247,9 @@ class _Parser:
             new = f[1:]
             if f[0] != "point" or not _IDENT.match("".join(new)) or "empty" in new:
                 return False
-            if len(set(new)) != len(new) or not points.isdisjoint(new):
+            if len(set(new)) != len(new) or not points.keys().isdisjoint(new):
                 return False
-            points.update(new)
+            points.update(zip(new, new))
             return True
 
         while True:
@@ -259,7 +266,7 @@ class _Parser:
                     p = self.want_ident(t, line, "a point identifier")
                     if p in points:
                         self.err("E_DUP_DEF", f"duplicate point {p!r}", line, t[1])
-                    points.add(p)
+                    points[p] = p
             elif head == "act":
                 if len(toks) != 5 or toks[3][0] != "=":
                     self.err("E_SYNTAX", "expected 'act <mor> <point> = <point>'", line, col)
@@ -272,15 +279,16 @@ class _Parser:
                     self.err("E_UNKNOWN_ID", f"unknown point {x!r}", line, toks[2][1])
                 if y not in points:
                     self.err("E_UNKNOWN_ID", f"unknown point {y!r}", line, toks[4][1])
+                g, x = morphisms[g], points[x]
                 if (g, x) in table:
                     self.err("E_DUP_DEF", f"duplicate action entry for ({g}, {x})", line, col)
-                table[(g, x)] = y
+                table[(g, x)] = points[y]
             else:
                 self.err("E_SYNTAX", f"unexpected directive {head!r} in action block", line, col)
         return name, PartialAction(tuple(sorted(points)), table)
 
     def topology_block(self, header_line, carrier):
-        known = set(carrier)
+        known = {p: p for p in carrier}
         opens: set[frozenset] = {frozenset()}
         declared: set[frozenset] = set()
         while True:
@@ -302,7 +310,7 @@ class _Parser:
                     p = self.want_ident(t, line, "an identifier")
                     if p not in known:
                         self.err("E_UNKNOWN_ID", f"unknown identifier {p!r}", line, t[1])
-                    members.append(p)
+                    members.append(known[p])
                 u = frozenset(members)
             if u in declared:
                 self.err("E_DUP_DEF", "duplicate open set", line, col)

@@ -27,6 +27,7 @@ import itertools
 from itertools import repeat
 from operator import itemgetter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .category import Category
@@ -233,22 +234,27 @@ def naive_closure(xbar: XBar, sim: SimRelation) -> Partition:
 class Globalization:
     """The quotient action together with the facts its audit established.
 
-    ``classes`` partitions the expanded carrier ``xbar``; ``class_of`` sends
-    each element to its class representative (the least member); ``action``
-    is keyed by (morphism, representative); ``embed`` realizes the original
-    carrier inside the quotient; ``axioms`` is the all-pass C1-C4 report
-    that the globalization theorem gives the quotient action.  Witness chains
-    are not stored: :func:`witness_traces` rebuilds them on request.
+    ``classes`` partitions the expanded carrier ``xbar``; ``action`` is keyed
+    by (morphism, representative); ``embed`` realizes the original carrier
+    inside the quotient; ``axioms`` is the all-pass C1-C4 report that the
+    globalization theorem gives the quotient action.  ``class_of`` is derived
+    from ``classes`` on first read.  Witness chains are not stored:
+    :func:`witness_traces` rebuilds them on request.
     """
 
     category: Category
     source: PartialAction
     xbar: XBar
     classes: Partition
-    class_of: Mapping[El, El]
     action: Mapping[tuple[str, El], El]
     embed: Mapping[Pt, El]
     axioms: AxiomReport
+
+    @cached_property
+    def class_of(self) -> Mapping[El, El]:
+        """Each expanded-carrier element to its class representative, the
+        least member."""
+        return {el: cls[0] for cls in self.classes for el in cls}
 
     def as_action(self) -> PartialAction:
         """The quotient action as a plain partial action on representatives."""
@@ -304,17 +310,15 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
         raise ValueError(f"globalization requires a lawful category: {bad[0].detail}{more}")
     xbar = build_xbar(cat, act)
     classes = equiv_closure(xbar, _one_step(cat, act))
-    # class_of, and per point x a list over morphism index m of the class of
-    # (m, x), with a trailing None so that every fetch below is a tuple.
+    # Per point x a list over morphism index m of the class of (m, x), with a
+    # trailing None so that every fetch below is a tuple.
     m_index = {m: i for i, m in enumerate(cat.morphisms)}
     none = [None] * (len(m_index) + 1)
     class_at = {x: none.copy() for x in act.carrier}
-    class_of: dict[El, El] = {}
     for cls in classes:
         rep = cls[0]
-        for el in cls:
-            class_of[el] = rep
-            class_at[el[1]][m_index[el[0]]] = rep
+        for g, x in cls:
+            class_at[x][m_index[g]] = rep
 
     # Per h: the g of cat.after[h], and one fetch of the classes of their g h.
     lanes: dict[str, tuple] = {}
@@ -343,7 +347,8 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
 
     embed: dict[Pt, El] = {}
     for x in act.carrier:
-        reps = {class_of[(e, x)] for e in cat.objects if (e, x) in act.table}
+        at = class_at[x]
+        reps = {at[m_index[e]] for e in cat.objects if (e, x) in act.table}
         if not reps:
             raise RuntimeError("C1 guarantees an identity step for every point")
         if len(reps) != 1:
@@ -356,7 +361,7 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
         g, x = cls[0]
         if action[(g, embed[x])] != cls[0]:
             raise RuntimeError("class unreachable from the embedded carrier")
-    return Globalization(cat, act, xbar, classes, class_of, action, embed, _GLOBAL)
+    return Globalization(cat, act, xbar, classes, action, embed, _GLOBAL)
 
 
 def check_g_function(f: Mapping, source: PartialAction, target: PartialAction) -> Verdict:

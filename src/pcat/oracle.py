@@ -646,7 +646,10 @@ def suite_scenario(cat: Category, act: PartialAction, max_size: int) -> SuiteRes
 
 
 def run_oracle(seed: int, max_size: int) -> list[SuiteResult]:
-    """The four suites behind the ``oracle`` CLI command."""
+    """The four suites behind the ``oracle`` CLI command.  Raises
+    ``ValueError`` for a ``max_size`` outside 1-8 before any suite runs."""
+    if not 1 <= max_size <= 8:
+        raise ValueError("max_size must be between 1 and 8")
     return [
         suite_closure_equivalence(seed),
         suite_axiom_equivalence(seed),

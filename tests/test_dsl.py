@@ -1,5 +1,6 @@
 """Tests for the scenario text format: parsing, errors, and canonical output."""
 
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -10,6 +11,7 @@ import pcat.dsl as dsl
 from pcat import (
     AxiomReport,
     Category,
+    Globalization,
     ParseError,
     PartialAction,
     Scenario,
@@ -22,9 +24,9 @@ from pcat import (
 )
 from pcat.dsl import json_chunks, to_json
 from pcat.fixtures import arrow_small
-from pcat.oracle import group_category
+from pcat.oracle import connected_groupoid, group_category
 
-from conftest import FIXTURE_DIR, fixture_text
+from conftest import FIXTURE_DIR, fixture_text, traced_peak
 
 CANONICAL = ("arrow_collapse", "arrow_small", "arrow_small_target", "iso_fixed", "iso_shift")
 ALL_FIXTURES = CANONICAL + ("arrow_small_nonopen", "arrow_small_topo")
@@ -333,6 +335,92 @@ def test_parsed_scenario_keeps_about_ten_bytes_per_text_byte():
         tracemalloc.stop()
     assert sc.action.carrier
     assert kept < 15 * len(text), (kept, len(text))
+
+
+_SHARED = """\
+category chain
+  object oa
+  object ob
+  object oc
+  mor pp : oa -> ob
+  mor qp : oa -> oc
+  mor qq : ob -> oc
+  comp qq . pp = qp
+end
+action walk
+  point x1 x2 x3
+  act oa x1 = x1
+  act ob x2 = x2
+  act oc x3 = x3
+  act pp x1 = x2
+  act qp x1 = x3
+  act qq x2 = x3
+end
+topology mor
+  open oa ob oc pp qp qq
+  open pp qp
+end
+topology space
+  open x1 x2 x3
+  open x2 x3
+end
+gfun y1 = x1
+gfun y2 = x3
+"""
+
+
+@pytest.mark.parametrize("path", ["fast", "token"])
+def test_parsed_scenario_shares_one_object_per_identifier(path):
+    # Multi-character names, since CPython shares one-character strings anyway.
+    text = _SHARED
+    if path == "token":
+        # A comment or a carriage return sends every line through the lexer.
+        lines = text.splitlines()
+        text = "".join(f"{ln}  # line {i}\r\n" if i % 2 else f"{ln}\r\n" for i, ln in enumerate(lines))
+    sc = parse(text)
+    assert serialize(sc) == _SHARED
+    cat, act = sc.category, sc.action
+    mor = {m: m for m in cat.morphisms}
+    pts = {p: p for p in act.carrier}
+
+    def shared(names, canon):
+        return all(n is canon[n] for n in names)
+
+    assert shared(cat.objects, mor)
+    assert shared(list(cat.dom.values()) + list(cat.cod.values()), mor)
+    assert shared([n for key, k in cat.comp.items() for n in (*key, k)], mor)
+    assert shared([g for g, _ in act.table], mor)
+    assert shared([n for (_, x), y in act.table.items() for n in (x, y)], pts)
+    assert shared(sc.top_mor.carrier, mor) and shared([m for u in sc.top_mor.opens for m in u], mor)
+    assert shared(sc.top_space.carrier, pts) and shared([p for u in sc.top_space.opens for p in u], pts)
+    assert shared(sc.gfun.values(), pts)
+
+
+def test_parse_holds_one_object_per_identifier_and_no_class_map():
+    # 432 points over the 3-object S3 groupoid: the 8 copies of its regular
+    # action, 7,776 table entries.  A fresh string per token kept about
+    # 2.33 MB after parsing; one object per identifier keeps about 0.86 MB.
+    cat = connected_groupoid(3, "s3")
+    points = [f"p{c}_{m}" for c in range(8) for m in cat.morphisms]
+    table = {(g, f"p{c}_{m}"): f"p{c}_{gm}" for c in range(8) for (g, m), gm in cat.comp.items()}
+    act = PartialAction.make(points, table)
+    text = serialize(Scenario("s3x3", "regular", cat, act, None, None, None))
+    gc.collect()
+
+    def parse_and_hold():
+        start = tracemalloc.get_traced_memory()[0]
+        sc = parse(text)
+        gc.collect()
+        return sc, tracemalloc.get_traced_memory()[0] - start
+
+    (sc, held), _ = traced_peak(parse_and_hold)
+    assert sc.category == cat and sc.action == act
+    assert held < 1_500_000, held
+
+    glob = build_globalization(sc.category, sc.action)
+    assert "class_of" not in {f.name for f in dataclasses.fields(Globalization)}
+    assert "class_of" not in vars(glob)
+    assert glob.class_of == {el: c[0] for c in glob.classes for el in c}
 
 
 JSON_EDGES = [

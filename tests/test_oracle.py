@@ -412,3 +412,13 @@ def test_run_oracle_suite_names_and_reproducibility():
     assert [(s.name, s.cases, s.failures) for s in first] == [
         (s.name, s.cases, s.failures) for s in second
     ]
+
+
+def test_run_oracle_rejects_a_max_size_outside_1_to_8_before_any_suite(monkeypatch):
+    ran = []
+    for suite in ("closure_equivalence", "axiom_equivalence", "universality", "groupoid_injectivity"):
+        monkeypatch.setattr(oracle, f"suite_{suite}", lambda *a, suite=suite: ran.append(suite))
+    for bad in (0, 9):
+        with pytest.raises(ValueError, match="max_size must be between 1 and 8"):
+            run_oracle(1729, bad)
+    assert ran == []
