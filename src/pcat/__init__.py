@@ -20,7 +20,6 @@ from .action import (
     Verdict,
     check_category_axioms,
     check_groupoid_axioms,
-    check_triple_axioms,
     from_functor,
     from_triple,
     functor_violations,
@@ -77,7 +76,6 @@ __all__ = [
     "Verdict",
     "check_category_axioms",
     "check_groupoid_axioms",
-    "check_triple_axioms",
     "from_functor",
     "from_triple",
     "functor_violations",

@@ -117,9 +117,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(sorted({v.kind for v in self.violations}))
-
 
 def validate_category(cat: Category) -> ValidationReport:
     """Check every category law on the explicit tables.

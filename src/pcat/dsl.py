@@ -380,43 +380,6 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
             yield f"gfun {src} = {s.gfun[src]}\n"
 
 
-def _topology_json(top: Optional[FiniteTopology]):
-    if top is None:
-        return None
-    return {
-        "carrier": [_pt(p) for p in top.carrier],
-        "opens": sorted([sorted(_pt(p) for p in u) for u in top.opens]),
-    }
-
-
-def _scenario_json(s: Scenario) -> dict:
-    cat, act = s.category, s.action
-    return {
-        "category": {
-            "name": s.category_name,
-            "objects": list(cat.objects),
-            "morphisms": [
-                {"id": m, "dom": cat.dom[m], "cod": cat.cod[m]} for m in cat.morphisms
-            ],
-            "comp": [
-                {"after": g, "first": h, "result": k}
-                for (g, h), k in sorted(cat.comp.items())
-            ],
-        },
-        "action": {
-            "name": s.action_name,
-            "points": list(act.carrier),
-            "table": [
-                {"g": g, "src": _pt(x), "dst": _pt(y)}
-                for (g, x), y in sorted(act.table.items())
-            ],
-        },
-        "top_mor": _topology_json(s.top_mor),
-        "top_space": _topology_json(s.top_space),
-        "gfun": dict(sorted(s.gfun.items())) if s.gfun is not None else None,
-    }
-
-
 def _globalization_json(glob: Globalization) -> dict:
     return {
         "classes": (
@@ -562,29 +525,24 @@ def json_chunks(obj) -> Iterator[str]:
     yield "\n"
 
 
-def to_json(obj) -> str:
-    """:func:`json_chunks` joined: ``json.dumps(obj, indent=2, sort_keys=True)`` and a
-    newline, byte for byte."""
-    return "".join(json_chunks(obj))
-
-
 def render(obj, fmt: str = "text") -> Iterator[str]:
     """The canonical form of a scenario, report, or globalization as chunks, made
     as they are drawn: one line of text each, or the chunks of :func:`json_chunks`.
+    A scenario is written as text only.
 
     A bad ``fmt`` or type raises here, before any chunk is made.
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     for kind, text, data in (
-        (Scenario, _scenario_text, _scenario_json),
+        (Scenario, _scenario_text, None),
         (Globalization, _globalization_text, _globalization_json),
         (AxiomReport, _axiom_report_text, _axiom_report_json),
         (ValidationReport, _validation_text, _validation_json),
     ):
-        if isinstance(obj, kind):
+        if isinstance(obj, kind) and (fmt == "text" or data is not None):
             return text(obj) if fmt == "text" else json_chunks(data(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {type(obj).__name__} as {fmt}")
 
 
 def serialize(obj, fmt: str = "text") -> str:

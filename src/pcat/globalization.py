@@ -72,12 +72,9 @@ class SimPair:
 
 @dataclass(frozen=True)
 class SimRelation:
-    """The one-step relation as records; iterates as its (src, dst) pairs."""
+    """The one-step relation as records."""
 
     pairs: tuple[SimPair, ...]
-
-    def __iter__(self) -> Iterator[tuple[El, El]]:
-        return ((p.src, p.dst) for p in self.pairs)
 
 
 def _require_c123(cat: Category, act: PartialAction) -> None:
@@ -171,8 +168,8 @@ def _one_step(cat: Category, act: PartialAction) -> Iterator[tuple[El, El]]:
 def equiv_closure(xbar: XBar, sim: Iterable[tuple[El, El]]) -> Partition:
     """Partition the expanded carrier by the closure of the one-step relation.
 
-    ``sim`` is any iterable of (src, dst) element pairs, such as a
-    :class:`SimRelation`.  Union-find runs over the indices of
+    ``sim`` is any iterable of (src, dst) element pairs, such as the
+    generating set of :func:`build_globalization`.  Union-find runs over the indices of
     ``xbar.elements``, looked up per morphism as ``idx[g][x]``, with path
     halving inlined; the lesser root wins.  Classes are sorted internally
     and listed by their least member.
@@ -411,6 +408,9 @@ def mediating(glob: Globalization, target: PartialAction, j: Mapping) -> dict[El
 
     ``target`` must be a global action over the same category and ``j`` an
     equivariant map from the original action into it (else ``MediationError``).
+    A ``j`` that is not total on the source carrier, or that leaves the
+    target carrier, raises a plain ``ValueError`` from
+    :func:`check_g_function`.
     """
     if not check_category_axioms(glob.category, target).all_pass:
         raise MediationError("mediating requires a global target action")

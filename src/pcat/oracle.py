@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .category import Category
 from .action import PartialAction, check_category_axioms, check_groupoid_axioms
@@ -287,9 +287,9 @@ def random_topology(rng: random.Random, carrier) -> FiniteTopology:
     pts = sorted(set(carrier))
     roll = rng.random()
     if roll < 0.3:
-        return FiniteTopology.discrete(pts)
+        return Space.discrete(pts).to_topology()
     if roll < 0.45:
-        return FiniteTopology.indiscrete(pts)
+        return FiniteTopology.make(pts, [pts])
     opens = {frozenset(), frozenset(pts)}
     for _ in range(rng.randint(1, 4)):
         size = rng.randint(1, len(pts))
@@ -456,13 +456,20 @@ def _receiver_bound(classes: int, carrier: int, max_size: Optional[int]) -> int:
     return max(top, carrier)
 
 
-def _factorization_failure(search: Callable, target: PartialAction, k: dict) -> Optional[str]:
-    """None when the mediating map ``k`` is the only equivariant map that
-    the candidate ``search`` finds into ``target``, else the failure line."""
-    cands = search(target)
-    if len(cands) != 1 or cands[0] != k:
-        return f"receiver admits {len(cands)} factorizations"
-    return None
+def _sweep(glob, bound: int) -> Iterator[tuple[PartialAction, dict, Optional[str]]]:
+    """Each receiver of the quotient's source up to ``bound``, drawn one at a
+    time, with the mediating map k into it and the failure line when k is
+    not the only equivariant map that the candidate search finds (else
+    None).  The search is set up once, for j the inclusion."""
+    act = glob.source
+    search = _candidate_search(glob, {x: x for x in act.carrier})
+    for target, j in _receivers(glob.category, act, bound):
+        k = _mediate(glob, target, j)
+        cands = search(target)
+        failure = None
+        if len(cands) != 1 or cands[0] != k:
+            failure = f"receiver admits {len(cands)} factorizations"
+        yield target, k, failure
 
 
 def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
@@ -487,12 +494,10 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
         size = len(glob.classes)
         bound = _receiver_bound(size, len(act.carrier), max_size)
         ident = {x: x for x in act.carrier}
-        search = _candidate_search(glob, ident)
         missing = bound >= size
         lines = []
-        for target, j in _receivers(cat, act, bound):
+        for target, k, failure in _sweep(glob, bound):
             ran += 1
-            k = _mediate(glob, target, j)
             if (
                 missing
                 and len(target.carrier) == size
@@ -500,7 +505,6 @@ def suite_universality(max_size: Optional[int] = None) -> SuiteResult:
                 and len(set(k.values())) == size
             ):
                 missing = False
-            failure = _factorization_failure(search, target, k)
             if failure:
                 lines.append(f"{name}: {failure}")
         if missing:
@@ -626,9 +630,12 @@ def suite_scenario(cat: Category, act: PartialAction, max_size: int) -> SuiteRes
     """Closure cross-check plus factorization-uniqueness sweep for one scenario.
 
     The classes the construction built from its generating subset of the
-    one-step relation must equal the naive closure of the full relation.
-    ``max_size`` is the CLI's receiver bound, from 1 to 8.  Raises the same
-    axiom error as the construction when C1-C3 fail."""
+    one-step relation must equal the naive closure of the full relation:
+    that is case 1.  ``max_size`` is the CLI's receiver bound, from 1 to 8,
+    and every receiver contains the source carrier, so a carrier of more
+    than 8 points has no receiver within the bound: then the sweep is
+    skipped and the suite runs that one case.  Raises the same axiom error
+    as the construction when C1-C3 fail."""
     failures = []
     glob = build_globalization(cat, act)
     cases = 1
@@ -636,10 +643,8 @@ def suite_scenario(cat: Category, act: PartialAction, max_size: int) -> SuiteRes
         failures.append("closures disagree")
     if len(act.carrier) <= 8:
         bound = _receiver_bound(len(glob.classes), len(act.carrier), max_size)
-        search = _candidate_search(glob, {x: x for x in act.carrier})
-        for target, j in _receivers(cat, act, bound):
+        for _, _, failure in _sweep(glob, bound):
             cases += 1
-            failure = _factorization_failure(search, target, _mediate(glob, target, j))
             if failure:
                 failures.append(failure)
     return SuiteResult("scenario", cases, tuple(failures))

@@ -39,17 +39,6 @@ class FiniteTopology:
             frozenset(frozenset(u) for u in opens) | {frozenset()},
         )
 
-    @staticmethod
-    def discrete(carrier) -> "FiniteTopology":
-        return Space.discrete(carrier).to_topology()
-
-    @staticmethod
-    def indiscrete(carrier) -> "FiniteTopology":
-        return FiniteTopology.make(carrier, [set(carrier)])
-
-    def is_open(self, s) -> bool:
-        return frozenset(s) in self.opens
-
 
 def _skey(x):
     return (str(type(x)), str(x))
@@ -58,7 +47,8 @@ def _skey(x):
 def validate_topology(t: FiniteTopology) -> Verdict:
     """Check the finite topology laws on the explicit family.
 
-    Witnesses are ("missing_empty",), ("missing_total",), or
+    Witnesses are ("missing_empty",), ("missing_total",), ("stray_points",
+    points) with the points of an open that lie off the carrier, or
     ("union"/"intersection", a, b) with the offending pair of opens.
     """
     bad: list[tuple] = []

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,6 @@ from pcat import (
     build_globalization,
     check_category_axioms,
     check_groupoid_axioms,
-    check_triple_axioms,
     from_functor,
     from_triple,
     functor_violations,
@@ -23,6 +23,7 @@ from pcat import (
     to_triple,
 )
 
+from pcat import oracle
 from pcat.action import groupoid_report
 from pcat.fixtures import FIXTURES
 from pcat.oracle import (
@@ -35,9 +36,11 @@ from pcat.oracle import (
     random_points,
     random_table,
     random_valid_action,
+    suite_axiom_equivalence,
 )
 
 from conftest import FIXTURE_DIR, fixture_text
+from reference_axioms import check_triple_axioms
 
 
 def load(stem):
@@ -48,8 +51,7 @@ def load(stem):
 def test_make_sorts_and_dedupes_carrier():
     act = PartialAction.make(["3", "1", "2", "1"], {("e", "1"): "1"})
     assert act.carrier == ("1", "2", "3")
-    assert act.defined("e", "1") and not act.defined("e", "2")
-    assert act.apply("e", "1") == "1" and act.apply("e", "2") is None
+    assert act.table == {("e", "1"): "1"}
 
 
 def test_reports_reject_unknown_references():
@@ -213,17 +215,40 @@ def test_from_triple_rejects_inconsistent_data():
         from_triple(cat, bad)
 
 
+def assert_triple_axioms_match(cat, act):
+    """C1'-C3' have the witnesses of C1-C3 and C4' those of C2 and C4
+    together, each as a multiset: the two routes list them in different
+    orders.  Returns the per-morphism report."""
+    table = check_category_axioms(cat, act).witnesses
+    triple = check_triple_axioms(cat, to_triple(act))
+    for name in ("C1", "C2", "C3"):
+        assert Counter(triple.witnesses[name + "'"]) == Counter(table[name]), (name, cat, act)
+    assert Counter(triple.witnesses["C4'"]) == Counter(table["C2"] + table["C4"]), (cat, act)
+    return triple
+
+
 def test_triple_axioms_match_table_axioms_on_fixtures():
-    rename = {"C1": "C1'", "C2": "C2'", "C3": "C3'", "C4": "C4'"}
     for stem in ("arrow_small", "arrow_collapse", "iso_fixed", "iso_shift"):
         cat, act = load(stem)
-        table_rep = check_category_axioms(cat, act)
-        triple_rep = check_triple_axioms(cat, to_triple(act))
-        for name, primed in rename.items():
-            assert triple_rep.witnesses[primed] == table_rep.witnesses[name], stem
+        triple_rep = assert_triple_axioms_match(cat, act)
         # The groupoid forms are reported exactly over a groupoid.
         assert ("GR3'" in triple_rep.witnesses) == stem.startswith("iso"), stem
         assert ("ALPHA_BIJ" in triple_rep.witnesses) == (cat.inverse is not None), stem
+
+
+def test_triple_axioms_match_table_axioms_on_the_axiom_suite_inputs(monkeypatch):
+    # Every table the axiom-equivalence suite checks, the repair loop's too.
+    seen = []
+
+    def record(cat, act):
+        seen.append((cat, act))
+        return check_category_axioms(cat, act)
+
+    monkeypatch.setattr(oracle, "check_category_axioms", record)
+    assert suite_axiom_equivalence(1729).ok
+    assert len(seen) == 1150
+    for cat, act in seen:
+        assert_triple_axioms_match(cat, act)
 
 
 def test_triple_groupoid_forms_on_iso_fixtures():

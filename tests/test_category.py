@@ -69,7 +69,7 @@ def test_validate_missing_comp():
          ("a", "a"): "a", ("b", "b"): "b", ("c", "c"): "c"},
     )
     report = validate_category(cat)
-    assert "missing_comp" in report.kinds()
+    assert "missing_comp" in {v.kind for v in report.violations}
     assert any(v.subject == ("q", "p") for v in report.violations)
 
 
@@ -78,7 +78,7 @@ def test_validate_identity_law_violation():
     comp = dict(good.comp)
     comp[("g", "e")] = "e"  # breaks dom/cod too, but the identity law must fire
     bad = Category(good.objects, good.morphisms, good.dom, good.cod, comp)
-    kinds = validate_category(bad).kinds()
+    kinds = {v.kind for v in validate_category(bad).violations}
     assert "identity_law" in kinds
 
 
@@ -87,7 +87,7 @@ def test_validate_associativity_violation():
     comp = dict(cat.comp)
     comp[("m1", "m1")] = "e"  # correct value is m2
     bad = Category(cat.objects, cat.morphisms, cat.dom, cat.cod, comp)
-    kinds = validate_category(bad).kinds()
+    kinds = {v.kind for v in validate_category(bad).violations}
     assert "associativity" in kinds
 
 
@@ -99,7 +99,7 @@ def test_validate_structax_kinds():
         {"e": "e"},
         {("g", "g"): "h", ("zz", "e"): "e"},
     )
-    kinds = validate_category(bad).kinds()
+    kinds = {v.kind for v in validate_category(bad).violations}
     assert "object_not_morphism" in kinds
     assert "dom_not_object" in kinds
     assert "cod_missing" in kinds
@@ -111,12 +111,12 @@ def test_validate_comp_not_composable_and_bad_span():
     comp = dict(good.comp)
     comp[("g", "g")] = "g"  # dom(g) != cod(g)
     bad = Category(good.objects, good.morphisms, good.dom, good.cod, comp)
-    assert "comp_not_composable" in validate_category(bad).kinds()
+    assert "comp_not_composable" in {v.kind for v in validate_category(bad).violations}
 
     comp = dict(good.comp)
     comp[("g", "g_inv")] = "g"  # right pair, wrong span: should be an endo of f
     bad = Category(good.objects, good.morphisms, good.dom, good.cod, comp)
-    assert "comp_bad_span" in validate_category(bad).kinds()
+    assert "comp_bad_span" in {v.kind for v in validate_category(bad).violations}
 
 
 def test_is_groupoid_positive():

@@ -166,7 +166,7 @@ def test_topo_on_a_200_point_scenario_with_default_topologies(tmp_path):
     # CA2, graph-openness and the embedding's openness.  Each verdict lists
     # the points of its domain that fail, never opens of the 2^200-set
     # carrier family.
-    indiscrete = FiniteTopology.indiscrete(z4.morphisms)
+    indiscrete = FiniteTopology.make(z4.morphisms, [z4.morphisms])
     path.write_text(serialize(Scenario("z4", "copies", z4, act, indiscrete, None, None)))
     start = time.perf_counter()
     code, out, err = run_cli(["topo", "--json", str(path)])

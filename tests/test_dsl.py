@@ -22,7 +22,7 @@ from pcat import (
     serialize,
     validate_category,
 )
-from pcat.dsl import json_chunks, to_json
+from pcat.dsl import json_chunks, render
 from pcat.fixtures import arrow_small
 from pcat.oracle import connected_groupoid, group_category
 
@@ -463,7 +463,7 @@ def _lazy(value):
 @pytest.mark.parametrize("value", JSON_EDGES + JSON_LAZY_EDGES)
 def test_json_writer_matches_json_dumps(value):
     want = json.dumps(value, indent=2, sort_keys=True) + "\n"
-    assert to_json(value) == want
+    assert "".join(json_chunks(value)) == want
     assert "".join(json_chunks(_lazy(value))) == want
 
 
@@ -479,9 +479,9 @@ def test_json_writer_draws_iterators_item_by_item():
     chunks = json_chunks({"k": gen(), "a": 1})
     got = [(next(chunks), len(drawn)) for _ in range(5)]
     assert [n for _, n in got] == [0, 0, 1, 2, 3]
-    assert "".join([c for c, _ in got] + list(chunks)) == to_json({"k": items, "a": 1})
+    assert "".join([c for c, _ in got] + list(chunks)) == "".join(json_chunks({"k": items, "a": 1}))
     with pytest.raises(TypeError):
-        to_json({"s": {1, 2}})  # a set is no list, as for json.dumps
+        "".join(json_chunks({"s": {1, 2}}))  # a set is no list, as for json.dumps
 
 
 def test_fixture_files_match_programmatic_builders():
@@ -502,21 +502,14 @@ def test_parsed_categories_validate():
         assert validate_category(sc.category).ok, stem
 
 
-def test_scenario_json_shape():
-    sc = parse(fixture_text("arrow_small"))
-    data = json.loads(serialize(sc, fmt="json"))
-    assert data["category"]["name"] == "arrow"
-    assert data["category"]["objects"] == ["e", "f"]
-    assert data["action"]["name"] == "small"
-    assert data["action"]["points"] == ["1", "2", "3"]
-
-
 def test_serialize_rejects_bad_inputs():
     sc = parse(fixture_text("arrow_small"))
     with pytest.raises(ValueError):
         serialize(sc, fmt="yaml")
     with pytest.raises(TypeError):
         serialize(42)
+    with pytest.raises(TypeError):
+        render(sc, "json")  # a scenario is written as text only
 
 
 def test_empty_keyword_denotes_empty_open_and_is_reserved():

@@ -1,5 +1,6 @@
-"""Source hygiene: invariants that survive ``python -O``, a public API that
-resolves, and one dataclass per field shape."""
+"""Source hygiene: invariants that survive ``python -O``, a layering that
+keeps the oracle out of the engine, a public API that resolves, and one
+dataclass per field shape."""
 
 import ast
 import dataclasses
@@ -19,6 +20,25 @@ def test_no_module_of_the_package_uses_an_assert_statement():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imports_the_oracle(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "pcat.oracle" or a.name.startswith("pcat.oracle.") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        base = "pcat" if node.level else ""
+        module = ".".join(p for p in (base, node.module) if p)
+        return module == "pcat.oracle" or (module == "pcat" and any(a.name == "oracle" for a in node.names))
+    return False
+
+
+def test_only_the_package_root_and_the_cli_import_the_oracle():
+    # The oracle's generators and suites stay out of the engine modules.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _imports_the_oracle(node)]
+    assert {f.split(":")[0] for f in found} == {"__init__.py", "cli.py"}, found
 
 
 def test_every_name_in_all_resolves():

@@ -335,6 +335,25 @@ def test_scenario_suite_on_fixture():
     assert res.ok and res.cases > 0
 
 
+def test_scenario_suite_skips_the_sweep_on_more_than_8_points(monkeypatch):
+    # Every receiver contains the carrier and the bound is at most 8, so on
+    # 9 points only the closure cross-check runs.
+    points = [str(i) for i in range(1, 10)]
+    sc = parse(
+        "category c\n  object e\nend\naction a\n  point " + " ".join(points) + "\n"
+        + "".join(f"  act e {x} = {x}\n" for x in points) + "end\n"
+    )
+    drawn = []
+
+    def receivers(*args):
+        drawn.append(args)
+        return iter(())
+
+    monkeypatch.setattr(oracle, "_receivers", receivers)
+    res = suite_scenario(sc.category, sc.action, 8)
+    assert (res.cases, res.failures, drawn) == (1, (), [])
+
+
 def test_scenario_suite_checks_the_classes_the_construction_ships(monkeypatch):
     # A construction whose classes split its largest one into singletons
     # must fail the closure cross-check, which compares the shipped classes

@@ -50,10 +50,9 @@ def brute_opens(space):
 def test_validate_topology_positive_and_builders():
     t = FiniteTopology.make("12", [set(), {"1"}, {"2"}, {"1", "2"}])
     assert validate_topology(t).ok
-    assert t.is_open({"1"}) and not t.is_open({"3"})
-    d = FiniteTopology.discrete("123")
+    d = Space.discrete("123").to_topology()
     assert validate_topology(d).ok and len(d.opens) == 8
-    i = FiniteTopology.indiscrete("123")
+    i = FiniteTopology.make("123", ["123"])
     assert validate_topology(i).ok and len(i.opens) == 2
 
 
@@ -128,7 +127,7 @@ def test_quotient_dual_route_and_finest_property():
         for mask in range(1 << len(members)):
             chosen = [r for i, r in enumerate(sorted(members)) if mask >> i & 1]
             pre = set().union(*(members[r] for r in chosen)) if chosen else set()
-            if t.is_open(pre):
+            if frozenset(pre) in t.opens:
                 expect.add(fs(chosen))
         assert via_fn.opens == fs(expect)
 
@@ -153,7 +152,7 @@ def test_topological_category_verdicts():
     assert verdict.name == "continuity comp"
     assert verdict.witnesses == (("e", "m1"), ("m1", "e"), ("m2", "m2"))
     assert check_topological_category(z3, Space.discrete(z3.morphisms)).ok
-    indiscrete = Space.from_topology(FiniteTopology.indiscrete(z3.morphisms))
+    indiscrete = Space.from_topology(FiniteTopology.make(z3.morphisms, [z3.morphisms]))
     assert check_topological_category(z3, indiscrete).ok
 
 
@@ -218,8 +217,8 @@ def test_indiscrete_carrier_conclusions_hold_without_hypotheses():
     sc = parse(fixture_text("arrow_small"))
     scn = top_scenario(
         sc,
-        FiniteTopology.discrete(sc.category.morphisms),
-        FiniteTopology.indiscrete(sc.action.carrier),
+        Space.discrete(sc.category.morphisms).to_topology(),
+        FiniteTopology.make(sc.action.carrier, [sc.action.carrier]),
     )
     glob = build_globalization(sc.category, sc.action)
     tg = topologize_globalization(scn, glob)
@@ -245,8 +244,8 @@ def test_embedding_open_routes_agree():
         sc = parse(fixture_text(stem))
         top_mor, top_space = sc.top_mor, sc.top_space
         if tops is not None:
-            top_mor = FiniteTopology.discrete(sc.category.morphisms)
-            top_space = FiniteTopology.indiscrete(sc.action.carrier)
+            top_mor = Space.discrete(sc.category.morphisms).to_topology()
+            top_space = FiniteTopology.make(sc.action.carrier, [sc.action.carrier])
         scn = top_scenario(sc, top_mor, top_space)
         glob = build_globalization(sc.category, sc.action)
         top_y = Space.from_topology(quotient_space(scn, glob).to_topology())
@@ -298,7 +297,7 @@ def test_quotient_space_stores_no_product_neighborhood():
     # here: 54 morphisms, and 40 points in every carrier neighborhood.
     cat, kept, table = s3_restriction(random.Random(1))
     act = PartialAction.make(kept, table)
-    indiscrete = Space.from_topology(FiniteTopology.indiscrete(act.carrier))
+    indiscrete = Space.from_topology(FiniteTopology.make(act.carrier, [act.carrier]))
     scn = TopScenario(cat, act, Space.discrete(cat.morphisms), indiscrete)
     glob = build_globalization(cat, act)
     ys, peak = traced_peak(lambda: quotient_space(scn, glob))
@@ -377,5 +376,5 @@ def test_counted_opens_match_the_spelled_out_family():
     assert non_t0 > 0
     chain = FiniteTopology.make("123", [set(), {"1"}, {"1", "2"}, {"1", "2", "3"}])
     assert Space.from_topology(chain).count_opens() == 4
-    assert Space.from_topology(FiniteTopology.indiscrete("abcd")).count_opens() == 2
+    assert Space.from_topology(FiniteTopology.make("abcd", ["abcd"])).count_opens() == 2
     assert Space.discrete(range(300)).count_opens() == 2**300
