@@ -272,6 +272,13 @@ def cmd_oracle(args) -> int:
         except AxiomError as exc:
             sys.stderr.writelines(render(exc.report, "text"))
             return 1
+        points = len(scn.action.carrier)
+        if points > 8:
+            print(
+                f"note: {args.file} has {points} points; receivers hold at most 8, "
+                "so the factorization sweep was skipped",
+                file=sys.stderr,
+            )
     suites = run_oracle(args.seed, args.max_size) + scenario
     if args.json:
         payload = {

@@ -7,16 +7,17 @@ left.  The embedded copy of the original carrier sits inside the quotient,
 and every global action receiving the original action factors through it
 uniquely.
 
-On the construction path the one-step relation is only ever unioned, so
-:func:`build_globalization` streams a generating set of it as bare
-(src, dst) pairs: for each defined step h.x = y, the identity instance
+The one-step relation has one form, bare (src, dst) pairs of
+expanded-carrier elements.  On the construction path it is only ever
+unioned, so :func:`build_globalization` streams a generating set of it,
+:func:`_one_step`: for each defined step h.x = y, the identity instance
 ((h, x), (cod h, y)) and the pairs ((g h, x), (g, y)) whose g.y is
 undefined, with the identity tags of a point chained rather than paired
 off.  A pair with g.y = z defined is left out because C3 makes
 (g h).x = z, so the identity instances of (g h, x) and (g, y) already join
-both ends to an identity tag of z.  :func:`sim_pairs` builds the full
-relation as sorted, deduplicated :class:`SimPair` records; it feeds only
-:func:`witness_traces` and the oracles.  Two closure routes are kept
+both ends to an identity tag of z.  :func:`witness_traces` walks the same
+stream.  :func:`sim_pairs` builds the full relation, sorted and
+deduplicated, for the oracles alone.  Two closure routes are kept
 deliberately separate: a union-find (primary) and a naive relational
 fixpoint (oracle).  They must always agree.
 """
@@ -57,24 +58,10 @@ class XBar:
 
 
 @dataclass(frozen=True)
-class SimPair:
-    """One generating relation instance between expanded-carrier elements.
-
-    Clause "i" rewrites (g'h, x) to (g', h.x) and records the witnessing h;
-    clause "ii" links two identity-tagged pairs over the same point.
-    """
-
-    src: El
-    dst: El
-    clause: str
-    via: Optional[str]
-
-
-@dataclass(frozen=True)
 class SimRelation:
-    """The one-step relation as records."""
+    """The full one-step relation: sorted, distinct (src, dst) pairs."""
 
-    pairs: tuple[SimPair, ...]
+    pairs: tuple[tuple[El, El], ...]
 
 
 def _require_c123(cat: Category, act: PartialAction) -> None:
@@ -98,12 +85,13 @@ def build_xbar(cat: Category, act: PartialAction) -> XBar:
 def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
     """All non-reflexive one-step relations between expanded-carrier elements.
 
-    Sorted and deduplicated, with clause "ii" listing every ordered pair of
-    identity tags.  Only :func:`witness_traces` and the oracles use it;
-    :func:`build_globalization` unions a generating subset of it.
+    Each (g, x) with g = g' h and h.x = y defined relates to (g', y), and
+    every ordered pair of identity tags over one point is related.  Only
+    the oracles use it: :func:`build_globalization` and
+    :func:`witness_traces` read the generating subset :func:`_one_step`.
     """
     t = act.table
-    out: set[SimPair] = set()
+    out: set[tuple[El, El]] = set()
     els = set(xbar.elements)
     by_result: dict[str, list[tuple[str, str]]] = {}
     for (gp, h), g in cat.comp.items():
@@ -115,12 +103,10 @@ def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
                 if dst not in els:
                     raise RuntimeError("one-step relation left the expanded carrier")
                 if dst != (g, x):
-                    out.add(SimPair((g, x), dst, "i", h))
+                    out.add(((g, x), dst))
     for x in act.carrier:
-        acting = [e for e in cat.objects if (e, x) in t]
-        for e, f in itertools.permutations(acting, 2):
-            out.add(SimPair((e, x), (f, x), "ii", None))
-    return SimRelation(tuple(sorted(out, key=lambda p: (p.src, p.dst, p.clause, p.via or ""))))
+        out.update(itertools.permutations([(e, x) for e in cat.objects if (e, x) in t], 2))
+    return SimRelation(tuple(sorted(out)))
 
 
 Partition = tuple[tuple[El, ...], ...]
@@ -198,15 +184,16 @@ def equiv_closure(xbar: XBar, sim: Iterable[tuple[El, El]]) -> Partition:
 
 
 def naive_closure(xbar: XBar, sim: SimRelation) -> Partition:
-    """Oracle closure: saturate the symmetrized relation by joining chains.
+    """Oracle closure: saturate the symmetrized relation ``sim.pairs`` by
+    joining chains.
 
     Kept free of union-find machinery on purpose so the two routes can be
     compared against each other.
     """
     succ: dict[El, set[El]] = {el: {el} for el in xbar.elements}
-    for p in sim.pairs:
-        succ[p.src].add(p.dst)
-        succ[p.dst].add(p.src)
+    for a, b in sim.pairs:
+        succ[a].add(b)
+        succ[b].add(a)
     changed = True
     while changed:
         changed = False
@@ -236,7 +223,7 @@ class Globalization:
     inside the quotient; ``axioms`` is the all-pass C1-C4 report that the
     globalization theorem gives the quotient action.  ``class_of`` is derived
     from ``classes`` on first read.  Witness chains are not stored:
-    :func:`witness_traces` rebuilds them on request.
+    :func:`witness_traces` rebuilds them from the one-step stream on request.
     """
 
     category: Category
@@ -262,14 +249,15 @@ def witness_traces(glob: Globalization) -> dict[El, tuple]:
     """For each expanded-carrier element, a chain of one-step relations from
     its class representative.
 
-    Steps are (src, dst, clause, via, direction), where direction "fwd"
-    walks from src to dst and "rev" from dst to src.  The one-step relation
-    is recomputed here; the construction does not keep it.
+    Each step is a pair (src, dst) of :func:`_one_step`, the generating set
+    the construction unions, with a direction: (src, dst, "fwd") walks from
+    src to dst and (src, dst, "rev") from dst to src.  The stream is
+    recomputed here; the construction does not keep it.
     """
     adj: dict[El, list[tuple]] = {}
-    for p in sim_pairs(glob.category, glob.source, glob.xbar).pairs:
-        adj.setdefault(p.src, []).append((p.dst, (p.src, p.dst, p.clause, p.via, "fwd")))
-        adj.setdefault(p.dst, []).append((p.src, (p.src, p.dst, p.clause, p.via, "rev")))
+    for a, b in _one_step(glob.category, glob.source):
+        adj.setdefault(a, []).append((b, (a, b, "fwd")))
+        adj.setdefault(b, []).append((a, (a, b, "rev")))
     trace: dict[El, tuple] = {}
     for cls in glob.classes:
         rep = cls[0]
@@ -511,11 +499,11 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
     Each instance F(g h)(x) = F(g)(F(h)(x)) of non-identity g and h
     propagates as soon as two of its three cells are known: the third is
     derived, and a derived value that clashes with a set cell prunes the
-    branch.  The cells of ``act`` are set first; the search then branches
-    on each cell still unset, in cell order with values ascending, and a
-    trail undoes each branch.  A morphism in no such instance has
-    independent cells, filled by the product of their values with no law to
-    check.
+    branch.  The cells of ``act`` are set first; one depth-first search then
+    branches on each cell still unset, values ascending, and a trail undoes
+    each branch.  Cells of morphisms in some instance come first, in cell
+    order; the cells of a morphism in no such instance come last, as they
+    have no law to check.
 
     The renamings that fix ``sets`` permute fresh points (those outside
     ``act.carrier``) of equal fibre signature.  A table is kept iff none of
@@ -625,13 +613,9 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
             val[c] = -1
 
     for (m, z), v in act.table.items():
-        if m in linked:
-            if not assign(row[m][pid[z]], pid[v]):
-                return
-        elif m not in objects:
-            val[row[m][pid[z]]] = pid[v]
-    free = [c for c in free if val[c] < 0]
-    free_values = [values[c] for c in free]
+        if m not in objects and not assign(row[m][pid[z]], pid[v]):
+            return
+    order = branch + free
 
     # The renamings that fix ``sets`` permute fresh points of one fibre
     # signature.  Each is held as (to, src): to[p] is the image of point p,
@@ -672,22 +656,17 @@ def _functors(cat: Category, sets: Mapping[str, set], act: PartialAction) -> Ite
         return False
 
     def fill(i: int) -> Iterator[dict]:
-        while i < len(branch) and val[branch[i]] >= 0:
+        while i < len(order) and val[order[i]] >= 0:
             i += 1
-        if i < len(branch):
-            c, mark = branch[i], len(trail)
-            for v in values[c]:
-                if assign(c, v) and not beaten(swaps):
-                    yield from fill(i + 1)
-                undo(mark)
-            return
-        for combo in itertools.product(*free_values):
-            for c, v in zip(free, combo):
-                val[c] = v
+        if i == len(order):
             if not beaten(renamings):
                 yield dict(zip(keys, [pts[val[c]] for c in cells]))
-        for c in free:
-            val[c] = -1
+            return
+        c, mark = order[i], len(trail)
+        for v in values[c]:
+            if assign(c, v) and not beaten(swaps):
+                yield from fill(i + 1)
+            undo(mark)
 
     yield from fill(0)
 
@@ -721,7 +700,9 @@ def _receivers(cat: Category, act: PartialAction, max_size: int) -> Iterator[tup
     made as the search reaches it; j is the inclusion in every one.  Its
     callers check the input: :func:`enumerate_globalizations` the bound and
     C1-C3, and each sweep builds the globalization, which checks C1-C3,
-    before it draws receivers up to a bound within 1-8."""
+    before it draws receivers up to a bound within 1-8.  So each step
+    (g, x) -> y of ``act`` has x over dom g by C2 and y over cod g by C3,
+    and every fibre choice, which contains those base sets, holds it."""
     X = list(act.carrier)
     trip_dom: dict[str, set] = {}
     for (g, x) in act.table:
@@ -744,11 +725,6 @@ def _receivers(cat: Category, act: PartialAction, max_size: int) -> Iterator[tup
         for choice in itertools.product(*obj_opts):
             sets = dict(zip(cat.objects, choice))
             if set().union(*sets.values()) != set(Z):
-                continue
-            if any(
-                x not in sets[cat.dom[g]] or y not in sets[cat.cod[g]]
-                for (g, x), y in act.table.items()
-            ):
                 continue
             # Renaming fresh points renames a choice's receivers.  A choice is
             # the first of its renaming class in product order exactly when its

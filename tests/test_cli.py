@@ -805,6 +805,32 @@ def test_oracle_checks_the_file_before_the_randomized_suites(monkeypatch, tmp_pa
     assert out.startswith("suite scenario cases ")
 
 
+def test_oracle_notes_a_skipped_sweep_on_more_than_8_points(monkeypatch, tmp_path):
+    import pcat.cli
+
+    monkeypatch.setattr(pcat.cli, "run_oracle", lambda seed, max_size: [])
+
+    def scenario(n):
+        points = [str(i) for i in range(1, n + 1)]
+        src = tmp_path / f"points{n}.pcat"
+        src.write_text(
+            "category c\n  object e\nend\naction a\n  point " + " ".join(points) + "\n"
+            + "".join(f"  act e {x} = {x}\n" for x in points) + "end\n"
+        )
+        return src
+
+    src = scenario(9)
+    note = f"note: {src} has 9 points; receivers hold at most 8, so the factorization sweep was skipped\n"
+    assert run_cli(["oracle", str(src), "--max-size", "8"]) == (0, "suite scenario cases 1 ok\n", note)
+    code, out, err = run_cli(["oracle", "--json", str(src)])
+    assert (code, err) == (0, note)
+    assert json.loads(out)["suites"] == [{"name": "scenario", "cases": 1, "ok": True, "failures": []}]
+    # At 8 points the sweep runs, and nothing is noted.
+    code, out, err = run_cli(["oracle", str(scenario(8)), "--max-size", "8"])
+    assert code == 0 and err == ""
+    assert out != "suite scenario cases 1 ok\n"
+
+
 def test_oracle_rejects_bad_max_size():
     for n in ("0", "9"):
         code, out, err = run_cli(["oracle", "--max-size", n])
