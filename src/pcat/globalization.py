@@ -8,18 +8,20 @@ and every global action receiving the original action factors through it
 uniquely.
 
 The one-step relation has one form, bare (src, dst) pairs of
-expanded-carrier elements.  On the construction path it is only ever
-unioned, so :func:`build_globalization` streams a generating set of it,
-:func:`_one_step`: for each defined step h.x = y, the identity instance
-((h, x), (cod h, y)) and the pairs ((g h, x), (g, y)) whose g.y is
-undefined, with the identity tags of a point chained rather than paired
-off.  A pair with g.y = z defined is left out because C3 makes
+expanded-carrier elements.  The build reads its classes by one of two
+routes, chosen by :func:`_classes`.  On an anchored groupoid action, each
+point over exactly one object, the classes have a closed form:
+(g, x) ~ (h, y) iff cod g = cod h and (h^-1 g).x = y.  Every other input
+goes to the union-find :func:`equiv_closure`, over a generating set of the
+relation streamed by :func:`_one_step`: for each defined step h.x = y, the
+identity instance ((h, x), (cod h, y)) and the pairs ((g h, x), (g, y))
+whose g.y is undefined, with the identity tags of a point chained rather
+than paired off.  A pair with g.y = z defined is left out because C3 makes
 (g h).x = z, so the identity instances of (g h, x) and (g, y) already join
 both ends to an identity tag of z.  :func:`witness_traces` walks the same
 stream.  :func:`sim_pairs` builds the full relation, sorted and
-deduplicated, for the oracles alone.  Two closure routes are kept
-deliberately separate: a union-find (primary) and a naive relational
-fixpoint (oracle).  They must always agree.
+deduplicated, for the oracles alone, and :func:`naive_closure` saturates
+it by an independent relational fixpoint.  All three must always agree.
 """
 
 from __future__ import annotations
@@ -73,13 +75,9 @@ def _require_c123(cat: Category, act: PartialAction) -> None:
 def build_xbar(cat: Category, act: PartialAction) -> XBar:
     """Enumerate the expanded carrier; requires C1-C3."""
     _require_c123(cat, act)
-    els = [
-        (g, x)
-        for g in cat.morphisms
-        for x in act.carrier
-        if (cat.dom[g], x) in act.table
-    ]
-    return XBar(tuple(sorted(els)))
+    t = act.table
+    over = {d: [x for x in act.carrier if (d, x) in t] for d in {cat.dom[g] for g in cat.morphisms}}
+    return XBar(tuple(sorted((g, x) for g in cat.morphisms for x in over[cat.dom[g]])))
 
 
 def sim_pairs(cat: Category, act: PartialAction, xbar: XBar) -> SimRelation:
@@ -183,6 +181,66 @@ def equiv_closure(xbar: XBar, sim: Iterable[tuple[El, El]]) -> Partition:
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
+def _anchored(cat: Category, act: PartialAction) -> bool:
+    """Whether ``act`` is an anchored groupoid action: ``cat.inverse`` is set
+    and every point has exactly one identity step (C1 gives at least one)."""
+    if cat.inverse is None:
+        return False
+    t = act.table
+    return sum((e, x) in t for e in cat.objects for x in act.carrier) == len(act.carrier)
+
+
+def _classes(cat: Category, act: PartialAction, xbar: XBar) -> Partition:
+    """The partition of :func:`build_globalization`, equal to
+    ``equiv_closure(xbar, _one_step(cat, act))`` on every input.
+
+    On an anchored groupoid action (:func:`_anchored`) it is read in closed
+    form: the class of (g, x) is every (h, (h^-1 g).x) with cod h = cod g
+    that is defined.
+
+    Proof.  Let R be that relation.  Its (h, y), y = k.x with k = h^-1 g,
+    lie in the expanded carrier, as C3 along (dom h, k) defines (dom h).y.
+    A one-step pair ((h k, x), (h, k.x)) is in R, as h^-1 h k = k.
+    Conversely, (g, x) R (h, y) gives g = h k, so ((h k, x), (h, k.x)) is
+    itself one step; an anchored point has no second identity tag to join.
+    R is an equivalence by C1 and C3: (g^-1 g).x = x; C3 along
+    (g^-1 h, h^-1 g) turns (h^-1 g).x = y into (g^-1 h).y = x; and along
+    (l^-1 h, h^-1 g) it turns (h^-1 g).x = y and (l^-1 h).y = z into
+    (l^-1 g).x = z.  So R is the closure.
+
+    The walk seeds each class at the first element of ``xbar.elements`` not
+    yet placed, its least member, and lists members in sorted h, so classes
+    come out sorted and in the order of their least members, as the
+    union-find's do.  Members are ``xbar``'s own tuples.
+    """
+    if not _anchored(cat, act):
+        return equiv_closure(xbar, _one_step(cat, act))
+    inv, t = cat.inverse, act.table
+    els = xbar.elements
+    idx: dict[str, dict[Pt, int]] = {}
+    for i, (g, x) in enumerate(els):
+        idx.setdefault(g, {})[x] = i
+    into: dict[str, list[str]] = {}
+    for h in sorted(cat.morphisms):
+        into.setdefault(cat.cod[h], []).append(h)
+    # Per g: each h with cod h = cod g, in sorted order, with h^-1 g.
+    lanes = {g: [(idx.get(h), cat.comp[(inv[h], g)]) for h in into[cat.cod[g]]] for g in idx}
+    placed = [False] * len(els)
+    classes = []
+    for i, (g, x) in enumerate(els):
+        if placed[i]:
+            continue
+        cls = []
+        for at, k in lanes[g]:
+            y = t.get((k, x))
+            if y is not None:
+                j = at[y]
+                placed[j] = True
+                cls.append(els[j])
+        classes.append(tuple(cls))
+    return tuple(classes)
+
+
 def naive_closure(xbar: XBar, sim: SimRelation) -> Partition:
     """Oracle closure: saturate the symmetrized relation ``sim.pairs`` by
     joining chains.
@@ -280,21 +338,22 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     """Run the whole construction and audit the invariants its proof rests on.
 
     Requires a lawful category (else ``ValueError`` names a violation) and
-    C1-C3.  The induced action g.[h, x] = [g h, x] is read one member at a
-    time: each member (h, x) fetches the classes of its (g h, x) in one
-    call, over the g that ``cat.after`` lists alike for every h
-    over one cod.  The audit checks that this vector is the same for every
-    member over one cod (class invariance), that the embedding is injective
-    and that every class is reached from the embedded carrier; a failure
-    raises ``RuntimeError``.  The theorem then makes the induced action
-    global (C3 is associativity of ``cat.comp``).
+    C1-C3.  The classes come from :func:`_classes`.  The induced action
+    g.[h, x] = [g h, x] is read one member at a time: each member (h, x)
+    fetches the classes of its (g h, x) in one call, over the g that
+    ``cat.after`` lists alike for every h over one cod.  The audit checks
+    that this vector is the same for every member over one cod (class
+    invariance), that the embedding is injective and that every class is
+    reached from the embedded carrier; a failure raises ``RuntimeError``.
+    The theorem then makes the induced action global (C3 is associativity
+    of ``cat.comp``).
     """
     bad = cat.validation.violations
     if bad:
         more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
         raise ValueError(f"globalization requires a lawful category: {bad[0].detail}{more}")
     xbar = build_xbar(cat, act)
-    classes = equiv_closure(xbar, _one_step(cat, act))
+    classes = _classes(cat, act, xbar)
     # Per point x a list over morphism index m of the class of (m, x), with a
     # trailing None so that every fetch below is a tuple.
     m_index = {m: i for i, m in enumerate(cat.morphisms)}

@@ -24,7 +24,9 @@ from .category import Category
 from .action import PartialAction, check_category_axioms, check_groupoid_axioms
 from . import fixtures
 from .globalization import (
+    _anchored,
     _candidate_search,
+    _classes,
     _fresh_points,
     _mediate,
     _one_step,
@@ -365,25 +367,31 @@ def suite_closure_equivalence(
     :func:`build_globalization` closes must equal the naive saturation of the
     full one-step relation, on fixtures and random valid actions
     (morphisms <= 8, points <= 6).  The pairs the generating set leaves out
-    are implied only by C3, so this checks that argument too."""
+    are implied only by C3, so this checks that argument too.  On an
+    anchored groupoid action the closed-form classes the build reads must
+    equal it as well."""
     rng = random.Random(seed)
     failures = []
     ran = 0
-    for name, make in fixtures.FIXTURES.items():
-        cat, act = make()
+
+    def check(cat: Category, act: PartialAction, where: str, tail: str = "") -> None:
         xbar = build_xbar(cat, act)
+        naive = naive_closure(xbar, sim_pairs(cat, act, xbar))
+        if closure_impl(xbar, _one_step(cat, act)) != naive:
+            failures.append(f"{where}: closures disagree{tail}")
+        if _anchored(cat, act) and _classes(cat, act, xbar) != naive:
+            failures.append(f"{where}: closed-form classes and naive closure disagree{tail}")
+
+    for name, make in fixtures.FIXTURES.items():
         ran += 1
-        if closure_impl(xbar, _one_step(cat, act)) != naive_closure(xbar, sim_pairs(cat, act, xbar)):
-            failures.append(f"fixture {name}: closures disagree")
+        check(*make(), f"fixture {name}")
     while ran < cases + len(fixtures.FIXTURES):
         cat = random_category(rng)
         act = random_valid_action(rng, cat, random_points(rng), rng.uniform(0.15, 0.8))
         if act is None:
             continue
-        xbar = build_xbar(cat, act)
         ran += 1
-        if closure_impl(xbar, _one_step(cat, act)) != naive_closure(xbar, sim_pairs(cat, act, xbar)):
-            failures.append(f"case {ran}: closures disagree (seed {seed})")
+        check(cat, act, f"case {ran}", f" (seed {seed})")
     return SuiteResult("closure-equivalence", ran, tuple(failures))
 
 

@@ -10,6 +10,7 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pcat import (
     AxiomError,
@@ -31,7 +32,10 @@ from pcat import globalization
 from pcat.category import Category, ValidationReport, validate_category
 from pcat.fixtures import FIXTURES, arrow_category
 from pcat.globalization import (
+    _anchored,
+    _classes,
     _fresh_points,
+    _one_step,
     naive_closure,
     sim_pairs,
     witness_traces,
@@ -110,6 +114,72 @@ def test_closures_agree_on_fixtures():
         xb = build_xbar(cat, act)
         sim = sim_pairs(cat, act, xb)
         assert equiv_closure(xb, sim.pairs) == naive_closure(xb, sim), stem
+
+
+@st.composite
+def _groupoid_inputs(draw):
+    """A C1-C3 action of a library groupoid: half the time a restriction of
+    one or two copies of its regular action, which is anchored, else a
+    ``random_valid_action`` draw."""
+    group = draw(st.sampled_from(["z1", "z2", "z3", "z4", "klein", "s3"]))
+    cat = connected_groupoid(draw(st.integers(1, 2 if group == "s3" else 3)), group)
+    if draw(st.booleans()):
+        copies = draw(st.integers(1, 2))
+        points = [(m, c) for m in cat.morphisms for c in range(copies)]
+        kept = draw(st.sets(st.sampled_from(points), min_size=1))
+        table = {
+            (g, (m, c)): (gm, c)
+            for (g, m), gm in cat.comp.items()
+            for c in range(copies)
+            if (m, c) in kept and (gm, c) in kept
+        }
+        act = PartialAction.make(kept, table)
+        assert _anchored(cat, act)
+        return cat, act
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    act = random_valid_action(rng, cat, random_points(rng), rng.uniform(0.15, 0.8))
+    assume(act is not None and _anchored(cat, act))
+    return cat, act
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_groupoid_inputs())
+def test_closed_form_classes_equal_both_closures_on_anchored_groupoid_actions(case):
+    cat, act = case
+    xbar = build_xbar(cat, act)
+    closed = _classes(cat, act, xbar)
+    assert closed == equiv_closure(xbar, _one_step(cat, act))
+    assert closed == naive_closure(xbar, sim_pairs(cat, act, xbar))
+
+
+def test_only_anchored_groupoid_actions_skip_the_union_find(monkeypatch):
+    calls = []
+    closure = globalization.equiv_closure
+
+    def counted(xbar, sim):
+        calls.append(len(xbar.elements))
+        return closure(xbar, sim)
+
+    monkeypatch.setattr(globalization, "equiv_closure", counted)
+    cat, kept, table = s3_restriction(random.Random(1), copies=11)
+    anchored = PartialAction.make(kept, table)
+    assert _anchored(cat, anchored)
+    build_globalization(cat, anchored)
+    assert calls == []
+    for stem in STEMS:
+        cat, act = load(stem)
+        assert not _anchored(cat, act)
+        build_globalization(cat, act)
+    assert len(calls) == len(STEMS)
+
+
+def test_xbar_equals_the_scan_of_every_morphism_and_point():
+    cases = _globalizable_cases(23, 300)
+    cat, kept, table = s3_restriction(random.Random(2), copies=11)
+    cases.append((cat, PartialAction.make(kept, table)))
+    for cat, act in cases:
+        expected = sorted((g, x) for g in cat.morphisms for x in act.carrier if (cat.dom[g], x) in act.table)
+        assert build_xbar(cat, act).elements == tuple(expected)
 
 
 def test_globalization_frozen_classes():
@@ -828,7 +898,7 @@ def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch
     for s in range(3):
         cat, kept, table = s3_restriction(random.Random(s))
         cases.append((cat, PartialAction.make(kept, table)))
-    closure = globalization.equiv_closure
+    classes_of = globalization._classes
     messages = set()
     for cat, act in cases:
         classes = build_globalization(cat, act).classes
@@ -842,10 +912,10 @@ def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch
                 expected = str(exc)
             else:
                 continue
-            monkeypatch.setattr(globalization, "equiv_closure", lambda xbar, sim: merged)
+            monkeypatch.setattr(globalization, "_classes", lambda cat, act, xbar: merged)
             with pytest.raises(RuntimeError) as info:
                 build_globalization(cat, act)
-            monkeypatch.setattr(globalization, "equiv_closure", closure)
+            monkeypatch.setattr(globalization, "_classes", classes_of)
             assert str(info.value) == expected
             messages.add(expected)
     assert len(messages) > 30
@@ -871,7 +941,7 @@ def test_sabotaged_closure_is_caught_whatever_the_composite_insertion_order(monk
     class_of = {el: c[0] for c in merged for el in c}
     with pytest.raises(RuntimeError) as expected:
         _reference_quotient_action(cat, merged, class_of)
-    monkeypatch.setattr(globalization, "equiv_closure", lambda xbar, sim: merged)
+    monkeypatch.setattr(globalization, "_classes", lambda cat, act, xbar: merged)
     with pytest.raises(RuntimeError) as info:
         build_globalization(cat, act)
     assert str(info.value) == str(expected.value) == (
