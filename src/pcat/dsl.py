@@ -10,6 +10,11 @@ involving an identity are implied.  Every parse error carries a stable code
 and a 1-based line and column; a parsed scenario keeps no source positions.
 It holds one string object per identifier: every table entry, composite,
 open and ``gfun`` destination shares the object that declared the name.
+
+Each line is read as the ``str.split()`` fields of its text before ``#`` and
+checked by the handler of its directive.  Only a line that fails a check is
+lexed: for the error's column, or, when the lexer reads it as other tokens
+(glued, as in ``act g 1=2``), to be checked again as those.
 """
 
 from __future__ import annotations
@@ -54,270 +59,239 @@ class Scenario:
     gfun: Optional[Mapping[str, str]]
 
 
-def _tokens(line_text: str):
-    body = line_text.split("#", 1)[0].rstrip("\r")
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
+# The fields a line's text before ``#`` is read as; a test reads lines as
+# the lexer's tokens by replacing it.
+_split = str.split
+
+
+def _lex(text: str) -> list[re.Match]:
+    """The lexer's tokens of a line's text before ``#``, with their positions."""
+    return list(_TOKEN.finditer(text.split("#", 1)[0]))
+
+
+class _Relex(Exception):
+    """A line failed a check on fields that the lexer reads as other tokens."""
 
 
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.split("\n")
+        self.numbered = enumerate(self.lines, 1)
         self.idx = 0
+        self.toks: list[str] = []
 
-    def err(self, code, msg, line, col):
-        raise ParseError(code, msg, line, col)
+    def err(self, code, msg, i):
+        """Raise ``code`` at token ``i`` of the current line, at the lexer's column for
+        it; or raise :class:`_Relex` when the lexer reads the line as other tokens."""
+        found = _lex(self.lines[self.idx - 1])
+        if [m.group() for m in found] != self.toks:
+            raise _Relex
+        raise ParseError(code, msg, self.idx, found[i].start() + 1)
 
-    def next_line(self, fast=None):
-        """The next non-blank line as (number, tokens).  A line with no ``#`` or carriage
-        return that ``fast(fields)`` proves well-formed and records is skipped."""
-        while self.idx < len(self.lines):
-            text = self.lines[self.idx]
-            self.idx += 1
-            if fast is not None and "#" not in text and "\r" not in text:
-                fields = text.split()
-                if not fields or fast(fields):
-                    continue
-            toks = _tokens(text)
-            if toks:
-                return self.idx, toks
-        return None, None
+    def feed(self, handlers, unknown):
+        """Hand the fields of each non-blank line to the handler of its first field,
+        or to ``unknown``, until one returns a value; return that value, or None
+        past the last line.  A line that fails a check and that the lexer reads
+        as other tokens is handed over again as the lexer's tokens."""
+        for self.idx, text in self.numbered:
+            if "#" in text:
+                text = text.split("#", 1)[0]
+            t = self.toks = _split(text)
+            if t:
+                try:
+                    done = handlers.get(t[0], unknown)(t)
+                except _Relex:
+                    t = self.toks = [m.group() for m in _lex(text)]
+                    done = handlers.get(t[0], unknown)(t)
+                if done is not None:
+                    return done
+        return None
 
-    def want_ident(self, tok, line, what):
-        text, col = tok
-        if not _IDENT.match(text):
-            self.err("E_SYNTAX", f"expected {what}, got {text!r}", line, col)
-        if text == "empty":
-            self.err("E_SYNTAX", "'empty' is reserved for the empty open set", line, col)
-        return text
+    def want_ident(self, t, i, what):
+        if not _IDENT.match(t[i]):
+            self.err("E_SYNTAX", f"expected {what}, got {t[i]!r}", i)
+        if t[i] == "empty":
+            self.err("E_SYNTAX", "'empty' is reserved for the empty open set", i)
+        return t[i]
+
+    def header(self, kind, lead, what):
+        """The name on the next line, a ``<kind> <name>`` line; None past the last line."""
+
+        def named(t):
+            if len(t) != 2:
+                self.err("E_SYNTAX", f"expected '{kind} <name>'", -1)
+            return self.want_ident(t, 1, what)
+
+        return self.feed({kind: named}, lambda t: self.err("E_SYNTAX", lead, 0))
+
+    def block(self, what, handlers):
+        """Hand each line up to ``end`` to the handler of its directive."""
+
+        def unknown(t):
+            self.err("E_SYNTAX", f"unexpected directive {t[0]!r} in {what} block", 0)
+
+        if self.feed({"end": lambda t: True, **handlers}, unknown) is None:
+            raise ParseError("E_SYNTAX", f"{what} block not closed with 'end'", len(self.lines), 1)
 
     def parse(self) -> Scenario:
-        line, toks = self.next_line()
-        if toks is None:
-            self.err("E_SYNTAX", "empty input: expected a category block", 1, 1)
-        if toks[0][0] != "category":
-            self.err("E_SYNTAX", "expected 'category <name>'", line, toks[0][1])
-        cat_name, category = self.category_block(line, toks)
+        cat_name = self.header("category", "expected 'category <name>'", "a category name")
+        if cat_name is None:
+            raise ParseError("E_SYNTAX", "empty input: expected a category block", 1, 1)
+        category = self.category_block()
 
-        line, toks = self.next_line()
-        if toks is None or toks[0][0] != "action":
-            where = (line, toks[0][1]) if toks else (len(self.lines), 1)
-            self.err("E_SYNTAX", "expected 'action <name>' after the category block", *where)
-        act_name, action = self.action_block(line, toks, category)
+        lead = "expected 'action <name>' after the category block"
+        act_name = self.header("action", lead, "an action name")
+        if act_name is None:
+            raise ParseError("E_SYNTAX", lead, len(self.lines), 1)
+        action = self.action_block(category)
+
         points = {p: p for p in action.carrier}
+        carriers = {"mor": tuple(category.morphisms), "space": action.carrier}
+        tops: dict[str, FiniteTopology] = {}
+        gfun: dict[str, str] = {}
 
-        top_mor = top_space = None
-        gfun: Optional[dict] = None
-        while True:
-            line, toks = self.next_line()
-            if toks is None:
-                break
-            head, col = toks[0]
-            if head == "topology":
-                kind_tok = toks[1] if len(toks) > 1 else (None, col)
-                kind = kind_tok[0]
-                if kind not in ("mor", "space") or len(toks) != 2:
-                    self.err("E_SYNTAX", "expected 'topology mor' or 'topology space'", line, kind_tok[1])
-                if kind == "mor":
-                    if top_mor is not None:
-                        self.err("E_DUP_DEF", "second 'topology mor' block", line, col)
-                    top_mor = self.topology_block(line, tuple(category.morphisms))
-                else:
-                    if top_space is not None:
-                        self.err("E_DUP_DEF", "second 'topology space' block", line, col)
-                    top_space = self.topology_block(line, action.carrier)
-            elif head == "gfun":
-                if gfun is None:
-                    gfun = {}
-                if len(toks) != 4 or toks[2][0] != "=":
-                    self.err("E_SYNTAX", "expected 'gfun <point> = <point>'", line, col)
-                src = self.want_ident(toks[1], line, "a point identifier")
-                dst = self.want_ident(toks[3], line, "a point identifier")
-                if dst not in points:
-                    self.err("E_UNKNOWN_ID", f"unknown point {dst!r}", line, toks[3][1])
-                if src in gfun:
-                    self.err("E_DUP_DEF", f"duplicate gfun entry for {src!r}", line, toks[1][1])
-                gfun[src] = points[dst]
-            else:
-                self.err("E_SYNTAX", f"unexpected directive {head!r}", line, col)
+        def topology(t):
+            if len(t) != 2 or t[1] not in carriers:
+                self.err("E_SYNTAX", "expected 'topology mor' or 'topology space'", min(len(t) - 1, 1))
+            if t[1] in tops:
+                self.err("E_DUP_DEF", f"second 'topology {t[1]}' block", 0)
+            return t[1]
 
-        return Scenario(cat_name, act_name, category, action, top_mor, top_space, gfun)
+        def gfun_line(t):
+            if len(t) != 4 or t[2] != "=":
+                self.err("E_SYNTAX", "expected 'gfun <point> = <point>'", 0)
+            src = self.want_ident(t, 1, "a point identifier")
+            dst = points.get(t[3])
+            if dst is None:
+                self.want_ident(t, 3, "a point identifier")
+                self.err("E_UNKNOWN_ID", f"unknown point {t[3]!r}", 3)
+            if src in gfun:
+                self.err("E_DUP_DEF", f"duplicate gfun entry for {src!r}", 1)
+            gfun[src] = dst
 
-    def category_block(self, line, toks):
-        if len(toks) != 2:
-            self.err("E_SYNTAX", "expected 'category <name>'", line, toks[-1][1])
-        name = self.want_ident(toks[1], line, "a category name")
+        handlers = {"topology": topology, "gfun": gfun_line}
+        unknown = lambda t: self.err("E_SYNTAX", f"unexpected directive {t[0]!r}", 0)
+        while (kind := self.feed(handlers, unknown)) is not None:
+            tops[kind] = self.topology_block(self.idx, carriers[kind])
+        return Scenario(
+            cat_name, act_name, category, action, tops.get("mor"), tops.get("space"), gfun or None
+        )
+
+    def category_block(self) -> Category:
         objects: list[str] = []
         arrows: dict[str, tuple[str, str]] = {}
         # every object and arrow name to the first object read for it
         names: dict[str, str] = {}
         explicit: dict[tuple[str, str], str] = {}
 
-        def fast(f):
-            # comp lines of two composable non-identity arrows, not yet given
-            if len(f) != 6 or f[0] != "comp" or f[2] != "." or f[4] != "=":
-                return False
-            g, h, k = names.get(f[1]), names.get(f[3]), names.get(f[5])
-            known = g in arrows and h in arrows and k is not None
-            if not known or arrows[g][0] != arrows[h][1] or (g, h) in explicit:
-                return False
+        def object_line(t):
+            if len(t) != 2:
+                self.err("E_SYNTAX", "expected 'object <id>'", 0)
+            obj = self.want_ident(t, 1, "an object identifier")
+            if obj in names:
+                self.err("E_DUP_DEF", f"duplicate identifier {obj!r}", 1)
+            objects.append(obj)
+            names[obj] = obj
+
+        def mor_line(t):
+            if len(t) != 6 or t[2] != ":" or t[4] != "->":
+                self.err("E_SYNTAX", "expected 'mor <id> : <obj> -> <obj>'", 0)
+            mid = self.want_ident(t, 1, "a morphism identifier")
+            d = self.want_ident(t, 3, "an object identifier")
+            c = self.want_ident(t, 5, "an object identifier")
+            if mid in names:
+                self.err("E_DUP_DEF", f"duplicate identifier {mid!r}", 1)
+            if d not in objects:
+                self.err("E_UNKNOWN_ID", f"unknown object {d!r}", 3)
+            if c not in objects:
+                self.err("E_UNKNOWN_ID", f"unknown object {c!r}", 5)
+            arrows[mid] = (names[d], names[c])
+            names[mid] = mid
+
+        def comp_line(t):
+            if len(t) != 6 or t[2] != "." or t[4] != "=":
+                self.err("E_SYNTAX", "expected 'comp <g> . <h> = <k>'", 0)
+            g, h, k = names.get(t[1]), names.get(t[3]), names.get(t[5])
+            if g is None or h is None or k is None:
+                for i in (1, 3, 5):
+                    if self.want_ident(t, i, "a morphism identifier") not in names:
+                        self.err("E_UNKNOWN_ID", f"unknown morphism {t[i]!r}", i)
+            span = lambda m: (m, m) if m in objects else arrows[m]
+            if span(g)[0] != span(h)[1]:
+                self.err("E_SYNTAX", f"pair ({g}, {h}) is not composable", 0)
+            if (g, h) in explicit:
+                self.err("E_DUP_DEF", f"duplicate composite for ({g}, {h})", 0)
+            implied = g if h in objects else h if g in objects else None
+            if implied is not None and implied != k:
+                self.err("E_DUP_DEF", f"composite for ({g}, {h}) conflicts with the identity law", 0)
             explicit[(g, h)] = k
-            return True
 
-        while True:
-            line, toks = self.next_line(fast)
-            if toks is None:
-                self.err("E_SYNTAX", "category block not closed with 'end'", len(self.lines), 1)
-            head, col = toks[0]
-            if head == "end":
-                break
-            if head == "object":
-                if len(toks) != 2:
-                    self.err("E_SYNTAX", "expected 'object <id>'", line, col)
-                obj = self.want_ident(toks[1], line, "an object identifier")
-                if obj in names:
-                    self.err("E_DUP_DEF", f"duplicate identifier {obj!r}", line, toks[1][1])
-                objects.append(obj)
-                names[obj] = obj
-            elif head == "mor":
-                if len(toks) != 6 or toks[2][0] != ":" or toks[4][0] != "->":
-                    self.err("E_SYNTAX", "expected 'mor <id> : <obj> -> <obj>'", line, col)
-                mid = self.want_ident(toks[1], line, "a morphism identifier")
-                d = self.want_ident(toks[3], line, "an object identifier")
-                c = self.want_ident(toks[5], line, "an object identifier")
-                if mid in names:
-                    self.err("E_DUP_DEF", f"duplicate identifier {mid!r}", line, toks[1][1])
-                if d not in objects:
-                    self.err("E_UNKNOWN_ID", f"unknown object {d!r}", line, toks[3][1])
-                if c not in objects:
-                    self.err("E_UNKNOWN_ID", f"unknown object {c!r}", line, toks[5][1])
-                arrows[mid] = (names[d], names[c])
-                names[mid] = mid
-            elif head == "comp":
-                if len(toks) != 6 or toks[2][0] != "." or toks[4][0] != "=":
-                    self.err("E_SYNTAX", "expected 'comp <g> . <h> = <k>'", line, col)
-                given = []
-                for t in (toks[1], toks[3], toks[5]):
-                    ident = self.want_ident(t, line, "a morphism identifier")
-                    if ident not in names:
-                        self.err("E_UNKNOWN_ID", f"unknown morphism {ident!r}", line, t[1])
-                    given.append(names[ident])
-                g, h, k = given
-                span = lambda m: (m, m) if m in objects else arrows[m]
-                if span(g)[0] != span(h)[1]:
-                    self.err("E_SYNTAX", f"pair ({g}, {h}) is not composable", line, col)
-                if (g, h) in explicit:
-                    self.err("E_DUP_DEF", f"duplicate composite for ({g}, {h})", line, col)
-                implied = None
-                if g in objects and span(g)[0] == span(h)[1]:
-                    implied = h
-                if h in objects and span(g)[0] == span(h)[1]:
-                    implied = g
-                if implied is not None and implied != k:
-                    self.err("E_DUP_DEF", f"composite for ({g}, {h}) conflicts with the identity law", line, col)
-                explicit[(g, h)] = k
-            else:
-                self.err("E_SYNTAX", f"unexpected directive {head!r} in category block", line, col)
-
+        self.block("category", {"object": object_line, "mor": mor_line, "comp": comp_line})
         for (g, h) in sorted((g, h) for g in arrows for h in arrows if arrows[g][0] == arrows[h][1]):
             if (g, h) not in explicit:
-                self.err("E_MISSING_COMP", f"composable pair ({g}, {h}) has no comp line", line, 1)
+                raise ParseError("E_MISSING_COMP", f"composable pair ({g}, {h}) has no comp line", self.idx, 1)
         # Duplicates and identity conflicts were rejected above, so this cannot raise.
-        return name, Category.make(objects, arrows, explicit)
+        return Category.make(objects, arrows, explicit)
 
-    def action_block(self, line, toks, category: Category):
-        if len(toks) != 2:
-            self.err("E_SYNTAX", "expected 'action <name>'", line, toks[-1][1])
-        name = self.want_ident(toks[1], line, "an action name")
+    def action_block(self, category: Category) -> PartialAction:
         # each name to the first object read for it, the category's own for morphisms
         points: dict[str, str] = {}
         morphisms = {m: m for m in category.morphisms}
         table: dict[tuple[str, str], str] = {}
 
-        def fast(f):
-            # act lines over declared names with a new (g, x)
-            if f[0] == "act":
-                if len(f) != 5 or f[3] != "=":
-                    return False
-                g, x, y = morphisms.get(f[1]), points.get(f[2]), points.get(f[4])
-                if g is None or x is None or y is None or (g, x) in table:
-                    return False
-                table[(g, x)] = y
-                return True
-            # point lines of new, distinct identifiers
-            new = f[1:]
-            if f[0] != "point" or not _IDENT.match("".join(new)) or "empty" in new:
-                return False
-            if len(set(new)) != len(new) or not points.keys().isdisjoint(new):
-                return False
-            points.update(zip(new, new))
-            return True
+        def point_line(t):
+            if len(t) < 2:
+                self.err("E_SYNTAX", "expected 'point <id> [<id> ...]'", 0)
+            new: dict[str, str] = {}
+            for i in range(1, len(t)):
+                p = self.want_ident(t, i, "a point identifier")
+                if p in points or p in new:
+                    self.err("E_DUP_DEF", f"duplicate point {p!r}", i)
+                new[p] = p
+            points.update(new)
 
-        while True:
-            line, toks = self.next_line(fast)
-            if toks is None:
-                self.err("E_SYNTAX", "action block not closed with 'end'", len(self.lines), 1)
-            head, col = toks[0]
-            if head == "end":
-                break
-            if head == "point":
-                if len(toks) < 2:
-                    self.err("E_SYNTAX", "expected 'point <id> [<id> ...]'", line, col)
-                for t in toks[1:]:
-                    p = self.want_ident(t, line, "a point identifier")
-                    if p in points:
-                        self.err("E_DUP_DEF", f"duplicate point {p!r}", line, t[1])
-                    points[p] = p
-            elif head == "act":
-                if len(toks) != 5 or toks[3][0] != "=":
-                    self.err("E_SYNTAX", "expected 'act <mor> <point> = <point>'", line, col)
-                g = self.want_ident(toks[1], line, "a morphism identifier")
-                x = self.want_ident(toks[2], line, "a point identifier")
-                y = self.want_ident(toks[4], line, "a point identifier")
-                if g not in morphisms:
-                    self.err("E_UNKNOWN_ID", f"unknown morphism {g!r}", line, toks[1][1])
-                if x not in points:
-                    self.err("E_UNKNOWN_ID", f"unknown point {x!r}", line, toks[2][1])
-                if y not in points:
-                    self.err("E_UNKNOWN_ID", f"unknown point {y!r}", line, toks[4][1])
-                g, x = morphisms[g], points[x]
-                if (g, x) in table:
-                    self.err("E_DUP_DEF", f"duplicate action entry for ({g}, {x})", line, col)
-                table[(g, x)] = points[y]
-            else:
-                self.err("E_SYNTAX", f"unexpected directive {head!r} in action block", line, col)
-        return name, PartialAction(tuple(sorted(points)), table)
+        def act_line(t):
+            if len(t) != 5 or t[3] != "=":
+                self.err("E_SYNTAX", "expected 'act <mor> <point> = <point>'", 0)
+            g, x, y = morphisms.get(t[1]), points.get(t[2]), points.get(t[4])
+            if g is None or x is None or y is None:
+                for i, what in ((1, "a morphism"), (2, "a point"), (4, "a point")):
+                    self.want_ident(t, i, f"{what} identifier")
+                for i, what, known in ((1, "morphism", morphisms), (2, "point", points), (4, "point", points)):
+                    if t[i] not in known:
+                        self.err("E_UNKNOWN_ID", f"unknown {what} {t[i]!r}", i)
+            if (g, x) in table:
+                self.err("E_DUP_DEF", f"duplicate action entry for ({g}, {x})", 0)
+            table[(g, x)] = y
 
-    def topology_block(self, header_line, carrier):
+        self.block("action", {"point": point_line, "act": act_line})
+        return PartialAction(tuple(sorted(points)), table)
+
+    def topology_block(self, header_line, carrier) -> FiniteTopology:
         known = {p: p for p in carrier}
         opens: set[frozenset] = {frozenset()}
         declared: set[frozenset] = set()
-        while True:
-            line, toks = self.next_line()
-            if toks is None:
-                self.err("E_SYNTAX", "topology block not closed with 'end'", len(self.lines), 1)
-            head, col = toks[0]
-            if head == "end":
-                break
-            if head != "open":
-                self.err("E_SYNTAX", f"unexpected directive {head!r} in topology block", line, col)
-            if len(toks) == 2 and toks[1][0] == "empty":
+
+        def open_line(t):
+            if len(t) == 2 and t[1] == "empty":
                 u: frozenset = frozenset()
             else:
-                if len(toks) < 2:
-                    self.err("E_SYNTAX", "expected 'open <id> [<id> ...]' or 'open empty'", line, col)
-                members = []
-                for t in toks[1:]:
-                    p = self.want_ident(t, line, "an identifier")
-                    if p not in known:
-                        self.err("E_UNKNOWN_ID", f"unknown identifier {p!r}", line, t[1])
-                    members.append(known[p])
+                if len(t) < 2:
+                    self.err("E_SYNTAX", "expected 'open <id> [<id> ...]' or 'open empty'", 0)
+                members = [known.get(p) for p in t[1:]]
+                if None in members:
+                    for i in range(1, len(t)):
+                        if self.want_ident(t, i, "an identifier") not in known:
+                            self.err("E_UNKNOWN_ID", f"unknown identifier {t[i]!r}", i)
                 u = frozenset(members)
             if u in declared:
-                self.err("E_DUP_DEF", "duplicate open set", line, col)
+                self.err("E_DUP_DEF", "duplicate open set", 0)
             declared.add(u)
             opens.add(u)
+
+        self.block("topology", {"open": open_line})
         if frozenset(carrier) not in opens:
-            self.err("E_TOP_NO_TOTAL", "the full carrier is not listed as open", header_line, 1)
+            raise ParseError("E_TOP_NO_TOTAL", "the full carrier is not listed as open", header_line, 1)
         return FiniteTopology(tuple(carrier), frozenset(opens))
 
 

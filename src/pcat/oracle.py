@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .category import Category
 from .action import PartialAction, check_category_axioms, check_groupoid_axioms
@@ -358,12 +358,8 @@ def monoid_axioms_direct(cat: Category, act: PartialAction) -> bool:
 # --- suites ----------------------------------------------------------------
 
 
-def suite_closure_equivalence(
-    seed: int,
-    cases: int = 500,
-    closure_impl: Callable = equiv_closure,
-) -> SuiteResult:
-    """``closure_impl`` over the generating one-step pairs that
+def suite_closure_equivalence(seed: int, cases: int = 500) -> SuiteResult:
+    """:func:`equiv_closure` over the generating one-step pairs that
     :func:`build_globalization` closes must equal the naive saturation of the
     full one-step relation, on fixtures and random valid actions
     (morphisms <= 8, points <= 6).  The pairs the generating set leaves out
@@ -377,7 +373,7 @@ def suite_closure_equivalence(
     def check(cat: Category, act: PartialAction, where: str, tail: str = "") -> None:
         xbar = build_xbar(cat, act)
         naive = naive_closure(xbar, sim_pairs(cat, act, xbar))
-        if closure_impl(xbar, _one_step(cat, act)) != naive:
+        if equiv_closure(xbar, _one_step(cat, act)) != naive:
             failures.append(f"{where}: closures disagree{tail}")
         if _anchored(cat, act) and _classes(cat, act, xbar) != naive:
             failures.append(f"{where}: closed-form classes and naive closure disagree{tail}")

@@ -3,9 +3,12 @@
 import dataclasses
 import gc
 import json
+import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pcat.dsl as dsl
 from pcat import (
@@ -24,7 +27,13 @@ from pcat import (
 )
 from pcat.dsl import json_chunks, render
 from pcat.fixtures import arrow_small
-from pcat.oracle import connected_groupoid, group_category
+from pcat.oracle import (
+    connected_groupoid,
+    group_category,
+    random_category,
+    random_points,
+    random_valid_action,
+)
 
 from conftest import FIXTURE_DIR, fixture_text, traced_peak
 
@@ -168,7 +177,7 @@ PARSE_ERRORS = [
         5,
     ),
     ("category c\nobject e\nend\naction a\npoint 1\nact e 1 = 9\nend\n", "E_UNKNOWN_ID", 6, 11),
-    # act, comp and point lines that the split fast path must hand to the lexer
+    # act, comp and point lines that fail, some on fields the lexer reads as other tokens
     ("category c\nobject e\nend\naction a\npoint 1\npoint 2 1\nend\n", "E_DUP_DEF", 6, 9),
     ("category c\nobject e\nend\naction a\npoint 1 a-b\nend\n", "E_SYNTAX", 5, 10),
     ("category c\nobject e\nend\naction a\n\tpoint\t1 2\t1\nend\n", "E_DUP_DEF", 5, 12),
@@ -233,22 +242,39 @@ def test_parse_error_codes_and_spans(text, code, line, col):
 
 
 def _lexer_only(monkeypatch):
-    """Turn the split fast path off, so every line goes through the regex lexer."""
-    plain = dsl._Parser.next_line
-    monkeypatch.setattr(dsl._Parser, "next_line", lambda self, fast=None: plain(self))
+    """Read every line as the regex lexer's tokens in place of its split fields."""
+    monkeypatch.setattr(dsl, "_split", lambda body: [m.group() for m in dsl._lex(body)])
 
 
-def _error(text):
-    with pytest.raises(ParseError) as exc:
-        parse(text)
-    return exc.value.code, exc.value.line, exc.value.col, str(exc.value)
+def _outcome(text):
+    """The scenario ``text`` parses to, or its error as (code, line, column, message)."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.code, exc.line, exc.col, str(exc)
+
+
+def _lexer_outcome(text):
+    with pytest.MonkeyPatch.context() as mp:
+        _lexer_only(mp)
+        return _outcome(text)
 
 
 @pytest.mark.parametrize("text,code,line,col", PARSE_ERRORS)
-def test_fast_path_errors_match_the_lexer(text, code, line, col, monkeypatch):
-    fast = _error(text)
-    _lexer_only(monkeypatch)
-    assert _error(text) == fast
+def test_errors_match_a_lexer_only_reading(text, code, line, col):
+    err = _outcome(text)
+    assert _lexer_outcome(text) == err
+
+
+def test_split_fields_and_the_lexer_agree_on_whitespace():
+    # The parser accepts a line on its split fields only when each field is an
+    # identifier or a separator, so that it is one lexer token: this needs
+    # the two to separate tokens at the same code points.
+    split_ws = {c for c in map(chr, range(0x110000)) if c != "\n" and len(f"a{c}b".split()) == 2}
+    lexer_ws = {c for c in map(chr, range(0x110000)) if c != "\n" and len(dsl._TOKEN.findall(f"a{c}b")) == 2}
+    assert split_ws == lexer_ws and len(split_ws) == 28
+    for field in ("->", ":", ".", "=", "Az_09"):
+        assert dsl._TOKEN.findall(field) == [field]
 
 
 ISO_SHIFT = fixture_text("iso_shift")
@@ -285,12 +311,49 @@ SPELLINGS = [
 
 
 @pytest.mark.parametrize("name,text", SPELLINGS, ids=[s[0] for s in SPELLINGS])
-def test_fast_path_spellings_parse_like_the_lexer(name, text, monkeypatch):
-    fast = parse(text)
-    assert fast == parse(ISO_SHIFT)
-    _lexer_only(monkeypatch)
-    slow = parse(text)
-    assert fast == slow
+def test_spellings_parse_like_a_lexer_only_reading(name, text):
+    sc = parse(text)
+    assert sc == parse(ISO_SHIFT)
+    assert _lexer_outcome(text) == sc
+
+
+_BLANKS = (" ", "  ", "\t", "\xa0", "\u3000")
+_CORRUPTIONS = ("", "zz", "empty", "end", "act", "point", "-", "=", ".", ":", "->", "a-b", "1=1", "#", "\r")
+
+
+@st.composite
+def _respelled(draw):
+    """A fixture or the canonical text of a random valid action; that text with
+    some lines respelled; and the respelling with one lexer token replaced."""
+    if draw(st.booleans()):
+        source = fixture_text(draw(st.sampled_from(ALL_FIXTURES)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        cat = random_category(rng)
+        act = random_valid_action(rng, cat, random_points(rng), rng.uniform(0.15, 0.8))
+        assume(act is not None)
+        source = serialize(Scenario("c", "a", cat, act, None, None, None))
+    lines = source.split("\n")
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=12)):
+        line = lines[i]
+        if draw(st.booleans()):
+            line = re.sub(r" (->|[:.=]) ", r"\1", line)
+        line = line.replace(" ", draw(st.sampled_from(_BLANKS)))
+        line += draw(st.sampled_from(("", "  # note", "#", "\t# a-b = c")))
+        lines[i] = line + "\r" * draw(st.booleans())
+    spots = [(i, m.span(), m.group()) for i, line in enumerate(lines) for m in dsl._lex(line)]
+    i, (start, end), _ = draw(st.sampled_from(spots))
+    token = draw(st.sampled_from(_CORRUPTIONS + tuple(sorted({tok for _, _, tok in spots}))))
+    corrupted = lines[:i] + [lines[i][:start] + token + lines[i][end:]] + lines[i + 1 :]
+    return source, "\n".join(lines), "\n".join(corrupted)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_respelled())
+def test_respellings_parse_alike_and_corruptions_fail_like_a_lexer_only_reading(case):
+    source, text, corrupted = case
+    assert parse(text) == parse(source)
+    assert _outcome(corrupted) == _lexer_outcome(corrupted)
 
 
 def _z4_copies():
@@ -309,15 +372,14 @@ def _z4_copies():
     return z4, act, serialize(Scenario("z4", "copies", z4, act, None, None, None))
 
 
-def test_fast_path_tokenizes_no_well_formed_act_comp_or_point_line(monkeypatch):
+def test_no_line_of_a_well_formed_text_reaches_the_lexer(monkeypatch):
     z4, act, text = _z4_copies()
     lexed = []
-    plain = dsl._tokens
-    monkeypatch.setattr(dsl, "_tokens", lambda line: lexed.append(line.split()[:1]) or plain(line))
+    plain = dsl._lex
+    monkeypatch.setattr(dsl, "_lex", lambda line: lexed.append(line) or plain(line))
     sc = parse(text)
     assert sc.category == z4 and sc.action == act
-    assert lexed and ["object"] in lexed
-    assert [head for head in lexed if head in (["act"], ["comp"], ["point"])] == []
+    assert lexed == []
 
 
 def test_parsed_scenario_keeps_about_ten_bytes_per_text_byte():
@@ -369,14 +431,18 @@ gfun y2 = x3
 """
 
 
-@pytest.mark.parametrize("path", ["fast", "token"])
-def test_parsed_scenario_shares_one_object_per_identifier(path):
+@pytest.mark.parametrize("spelling", ["canonical", "commented", "glued"])
+def test_parsed_scenario_shares_one_object_per_identifier(spelling):
     # Multi-character names, since CPython shares one-character strings anyway.
     text = _SHARED
-    if path == "token":
-        # A comment or a carriage return sends every line through the lexer.
+    if spelling == "commented":
         lines = text.splitlines()
         text = "".join(f"{ln}  # line {i}\r\n" if i % 2 else f"{ln}\r\n" for i, ln in enumerate(lines))
+    if spelling == "glued":
+        # The mor, comp, act and gfun lines fail on their split fields and are
+        # read again as the lexer's tokens.
+        text = re.sub(r" (->|[:.=]) ", r"\1", text)
+        assert text.count("\n") == _SHARED.count("\n") and " = " not in text
     sc = parse(text)
     assert serialize(sc) == _SHARED
     cat, act = sc.category, sc.action

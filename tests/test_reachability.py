@@ -17,6 +17,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,9 +49,6 @@ UNREACHED = {
     "topology.Space.to_topology": PERFBENCH,
     "cli._drop_stdout": ERROR_PATH,
     "cli.run": ERROR_PATH,
-    "dsl.ParseError.__init__": ERROR_PATH,
-    "dsl._Parser.err": ERROR_PATH,
-    "globalization.AxiomError.__init__": ERROR_PATH,
     "globalization.witness_traces": TRACES,
     "topology.FiniteTopology.make": TEST_FAMILIES,
 }
@@ -74,6 +72,18 @@ def _commands(target_out: str):
         yield ["oracle", f, "--max-size", "4"]
     yield ["oracle", "--max-size", "2"]
     yield ["oracle", "--max-size", "2", "--json"]
+    # Inputs that take the error paths: a parse error, lines that fail on
+    # their split fields and are read again as the lexer's tokens, and C3.
+    shift = (FIXTURE_DIR / "iso_shift.pcat").read_text(encoding="utf-8")
+    hostile = {
+        "misspelled.pcat": shift.replace("act g 1 = 2", "acts g 1 = 2"),
+        "respelled.pcat": re.sub(r" (->|[:.=]) ", r"\1", shift).replace("\n", "  # respelled\r\n"),
+        "c3_fails.pcat": shift.replace("  act g 2 = 3\n", ""),
+    }
+    for name, text in hostile.items():
+        path = Path(target_out).parent / name
+        path.write_text(text, encoding="utf-8")
+        yield ["globalize", str(path)]
 
 
 def _engine_defs() -> set[str]:
