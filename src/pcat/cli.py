@@ -45,7 +45,9 @@ class _OutputError(Exception):
 
 def _read_scenario(path: str) -> Scenario:
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        # newline="": parse gets the file's own text, so a lone CR inside a
+        # line is whitespace there, as it is for pcat.parse.
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)

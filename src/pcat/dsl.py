@@ -315,11 +315,6 @@ def _el_text(el) -> str:
     return f"({g},{_pt(x)})"
 
 
-def _rep_json(rep):
-    g, x = rep
-    return [g, _pt(x)]
-
-
 def _scenario_text(s: Scenario) -> Iterator[str]:
     cat, act = s.category, s.action
     named = set(cat.morphisms) | set(act.carrier) | set(s.gfun or ())
@@ -354,31 +349,60 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
             yield f"gfun {src} = {s.gfun[src]}\n"
 
 
-def _globalization_json(glob: Globalization) -> dict:
-    return {
-        "classes": (
-            {"rep": _rep_json(cls[0]), "members": [_rep_json(m) for m in cls]} for cls in glob.classes
-        ),
-        "action": (
-            {"g": g, "src": _rep_json(src), "dst": _rep_json(dst)}
-            for (g, src), dst in sorted(glob.action.items())
-        ),
-        "embedding": {_pt(x): _rep_json(r) for x, r in sorted(glob.embed.items())},
-        "axioms": glob.axioms.verdicts(),
-    }
-
-
 def _globalization_text(glob: Globalization) -> Iterator[str]:
+    rep_text = {cls[0]: _rep_text(cls[0]) for cls in glob.classes}
     yield f"xbar {len(glob.xbar.elements)}\n"
     yield f"classes {len(glob.classes)}\n"
     for cls in glob.classes:
-        yield f"class {_rep_text(cls[0])} = " + " ".join(_el_text(m) for m in cls) + "\n"
-    for (g, src), dst in sorted(glob.action.items()):
-        yield f"act {g} {_rep_text(src)} = {_rep_text(dst)}\n"
+        yield f"class {rep_text[cls[0]]} = " + " ".join(_el_text(m) for m in cls) + "\n"
+    for (g, src), dst in glob.action.items():
+        yield f"act {g} {rep_text[src]} = {rep_text[dst]}\n"
     for x in sorted(glob.embed):
-        yield f"embed {_pt(x)} = {_rep_text(glob.embed[x])}\n"
+        yield f"embed {_pt(x)} = {rep_text[glob.embed[x]]}\n"
     for a, ok in glob.axioms.verdicts().items():
         yield f"axioms {a} {'pass' if ok else 'fail'}\n"
+
+
+def _pair_json(g, x, ind: str) -> str:
+    """The pair ``[g, x]`` as ``json.dumps(indent=2)`` writes it after a key or
+    an item separator on the line ``ind``."""
+    return f"[{ind}  {_quote(g)},{ind}  {_quote(_pt(x))}{ind}]"
+
+
+def _globalization_json(glob: Globalization) -> Iterator[str]:
+    """The globalization as ``json.dumps(indent=2, sort_keys=True)`` writes
+    ``{"action": [{"g", "src", "dst"}, ...], "axioms": {axiom: verdict},
+    "classes": [{"rep", "members"}, ...], "embedding": {point: rep}}``, each
+    element a ``[g, x]`` list and the steps in the order of ``glob.action``,
+    plus a newline.  Each class representative is quoted once, at the depth
+    of ``src``, ``dst`` and ``rep``, and each action step, class and
+    embedding entry is one chunk."""
+    at4, at6, at8 = "\n    ", "\n      ", "\n        "
+    rep_json = {cls[0]: _pair_json(*cls[0], at6) for cls in glob.classes}
+    head = '{\n  "action": '
+    sep = head + "["
+    for (g, src), dst in glob.action.items():
+        step = f'"dst": {rep_json[dst]},{at6}"g": {_quote(g)},{at6}"src": {rep_json[src]}'
+        yield f"{sep}{at4}{{{at6}{step}{at4}}}"
+        sep = ","
+    yield "\n  ]" if sep == "," else head + "[]"
+    verdicts = sorted(glob.axioms.verdicts().items())
+    items = ",".join(f"{at4}{_quote(a)}: {'true' if ok else 'false'}" for a, ok in verdicts)
+    yield ',\n  "axioms": ' + ("{" + items + "\n  }" if items else "{}")
+    head = ',\n  "classes": '
+    sep = head + "["
+    for cls in glob.classes:
+        members = ",".join(at8 + _pair_json(g, x, at8) for g, x in cls)
+        yield f'{sep}{at4}{{{at6}"members": [{members}{at6}],{at6}"rep": {rep_json[cls[0]]}{at4}}}'
+        sep = ","
+    yield "\n  ]" if sep == "," else head + "[]"
+    embedding = {_pt(x): r for x, r in glob.embed.items()}
+    head = ',\n  "embedding": '
+    sep = head + "{"
+    for x in sorted(embedding):
+        yield f"{sep}{at4}{_quote(x)}: {_pair_json(*embedding[x], at4)}"
+        sep = ","
+    yield "\n  }\n}\n" if sep == "," else head + "{}\n}\n"
 
 
 def _witness(w) -> str:
@@ -494,15 +518,17 @@ def json_chunks(obj) -> Iterator[str]:
     other value, a list or tuple with everything in it too, as one chunk.  The
     standard encoder leaves its C fast path whenever ``indent`` is set; this joins
     the same layout container by container, strings quoted by the C
-    ``encode_basestring_ascii``."""
+    ``encode_basestring_ascii``.  It writes every ``--json`` payload but the
+    globalization's, which has a fixed-layout writer with the same bytes."""
     yield from _chunks(obj, "\n")
     yield "\n"
 
 
 def render(obj, fmt: str = "text") -> Iterator[str]:
     """The canonical form of a scenario, report, or globalization as chunks, made
-    as they are drawn: one line of text each, or the chunks of :func:`json_chunks`.
-    A scenario is written as text only.
+    as they are drawn: one line of text each, or JSON, as the chunks of
+    :func:`json_chunks` for a report and of a fixed-layout writer with the same
+    bytes for a globalization.  A scenario is written as text only.
 
     A bad ``fmt`` or type raises here, before any chunk is made.
     """
@@ -511,11 +537,11 @@ def render(obj, fmt: str = "text") -> Iterator[str]:
     for kind, text, data in (
         (Scenario, _scenario_text, None),
         (Globalization, _globalization_text, _globalization_json),
-        (AxiomReport, _axiom_report_text, _axiom_report_json),
-        (ValidationReport, _validation_text, _validation_json),
+        (AxiomReport, _axiom_report_text, lambda rep: json_chunks(_axiom_report_json(rep))),
+        (ValidationReport, _validation_text, lambda rep: json_chunks(_validation_json(rep))),
     ):
         if isinstance(obj, kind) and (fmt == "text" or data is not None):
-            return text(obj) if fmt == "text" else json_chunks(data(obj))
+            return text(obj) if fmt == "text" else data(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} as {fmt}")
 
 

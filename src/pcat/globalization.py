@@ -277,11 +277,14 @@ class Globalization:
     """The quotient action together with the facts its audit established.
 
     ``classes`` partitions the expanded carrier ``xbar``; ``action`` is keyed
-    by (morphism, representative); ``embed`` realizes the original carrier
-    inside the quotient; ``axioms`` is the all-pass C1-C4 report that the
-    globalization theorem gives the quotient action.  ``class_of`` is derived
-    from ``classes`` on first read.  Witness chains are not stored:
-    :func:`witness_traces` rebuilds them from the one-step stream on request.
+    by (morphism, representative) and lists its keys in sorted order: g
+    ascending, then the representatives in class order, which is their
+    sorted order, as classes are listed by their least member; ``embed``
+    realizes the original carrier inside the quotient; ``axioms`` is the
+    all-pass C1-C4 report that the globalization theorem gives the quotient
+    action.  ``class_of`` is derived from ``classes`` on first read.
+    Witness chains are not stored: :func:`witness_traces` rebuilds them from
+    the one-step stream on request.
     """
 
     category: Category
@@ -345,8 +348,9 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
     that this vector is the same for every member over one cod (class
     invariance), that the embedding is injective and that every class is
     reached from the embedded carrier; a failure raises ``RuntimeError``.
-    The theorem then makes the induced action global (C3 is associativity
-    of ``cat.comp``).
+    The vectors are then written column by column, g in sorted order, so
+    that ``action`` lists its keys sorted.  The theorem then makes the
+    induced action global (C3 is associativity of ``cat.comp``).
     """
     bad = cat.validation.violations
     if bad:
@@ -370,7 +374,8 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
         pairs = cat.after.get(h, ())
         lanes[h] = tuple(g for g, _ in pairs), itemgetter(*(m_index[k] for _, k in pairs), len(m_index))
     cod = cat.cod
-    action: dict[tuple[str, El], El] = {}
+    # Per cod c: the g out of c, and the reps and vectors of the classes over c.
+    rows: dict[str, tuple[tuple, list, list]] = {}
     for cls in classes:
         rep = cls[0]
         # The first member over each cod sets g.[rep] for its g; every later
@@ -382,12 +387,20 @@ def build_globalization(cat: Category, act: PartialAction) -> Globalization:
             ref = first.get(cod[h])
             if ref is None:
                 first[cod[h]] = gs, vec
-                action.update(zip(zip(gs, repeat(rep)), vec))
+                _, reps, vecs = rows.setdefault(cod[h], (gs, [], []))
+                reps.append(rep)
+                vecs.append(vec)
             elif ref[1] != vec:
                 # The first (g, class) that differs; a lawful category lists the same gs.
                 diff = itertools.zip_longest(zip(*ref), zip(gs, vec), fillvalue=(None, None))
                 g = next(a[0] or b[0] for a, b in diff if a != b)
                 raise RuntimeError(f"action of {g} on {rep} is not class-invariant")
+    # Each g is out of one cod; its column lists g.[rep] over that cod's reps.
+    columns = {g: (reps, col) for gs, reps, vecs in rows.values() for g, col in zip(gs, zip(*vecs))}
+    action: dict[tuple[str, El], El] = {}
+    for g in sorted(columns):
+        reps, col = columns[g]
+        action.update(zip(zip(repeat(g), reps), col))
 
     embed: dict[Pt, El] = {}
     for x in act.carrier:

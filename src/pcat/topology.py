@@ -315,7 +315,7 @@ def topologize_globalization(
     )
     act_cont = Verdict(
         "action continuous",
-        _discontinuities(glob.action, _product_near(mor, yspace), yspace, sorted(glob.action)),
+        _discontinuities(glob.action, _product_near(mor, yspace), yspace, glob.action),
     )
     embed_open = check_embedding_open(scn, glob, yspace)
     checks = [comp, ca1, ca2, star, graph, embed_cont, act_cont, embed_open]

@@ -26,7 +26,7 @@ from pcat import (
     validate_category,
 )
 from pcat.dsl import json_chunks, render
-from pcat.fixtures import arrow_small
+from pcat.fixtures import arrow_category, arrow_small
 from pcat.oracle import (
     connected_groupoid,
     group_category,
@@ -36,6 +36,8 @@ from pcat.oracle import (
 )
 
 from conftest import FIXTURE_DIR, fixture_text, traced_peak
+from reference_json import globalization_json
+from test_action import s3_restriction
 
 CANONICAL = ("arrow_collapse", "arrow_small", "arrow_small_target", "iso_fixed", "iso_shift")
 ALL_FIXTURES = CANONICAL + ("arrow_small_nonopen", "arrow_small_topo")
@@ -660,3 +662,32 @@ def test_globalization_serializes_in_both_formats():
     assert sum(len(c["members"]) for c in data["classes"]) == 6
     assert data["embedding"]["3"] == ["f", "3"]
     assert all(c["rep"] == c["members"][0] for c in data["classes"])
+
+
+def test_globalization_json_writer_gives_the_bytes_of_the_reference():
+    # The fixed-layout writer against json.dumps of the plain nested form,
+    # beyond the fixtures: 440 points, an empty carrier, and a seeded sweep in
+    # which some carriers are plain ints, written by their text and so keyed
+    # in text order ("10" before "2").
+    def check(glob):
+        want = json.dumps(globalization_json(glob), indent=2, sort_keys=True) + "\n"
+        assert "".join(render(glob, "json")) == want
+
+    cat, kept, table = s3_restriction(random.Random(1), copies=11)
+    glob = build_globalization(cat, PartialAction.make(kept, table))
+    assert len(glob.source.carrier) == 440
+    check(glob)
+    empty = build_globalization(arrow_category(), PartialAction((), {}))
+    assert (empty.classes, dict(empty.action), dict(empty.embed)) == ((), {}, {})
+    check(empty)
+    rng = random.Random(1501)
+    ints = wide = 0
+    for n in range(400):
+        cat = random_category(rng)
+        points = tuple(range(rng.randint(1, 13))) if n % 3 == 0 else random_points(rng)
+        act = random_valid_action(rng, cat, points, rng.uniform(0.15, 0.8))
+        if act is not None:
+            check(build_globalization(cat, act))
+            ints += n % 3 == 0
+            wide += n % 3 == 0 and len(points) > 10
+    assert ints > 50 and wide > 5

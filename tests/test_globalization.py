@@ -877,19 +877,28 @@ def test_one_step_stream_has_no_reflexive_pair():
     assert fixed_points > 0
 
 
-def test_quotient_action_matches_the_reference_loop_in_insertion_order():
-    for cat, act in _globalizable_cases(32, 300):
+def test_quotient_action_matches_the_reference_loop_and_lists_its_keys_sorted():
+    # The action equals the reference loop's as a map, and it lists its keys
+    # g-major, as sorted(action) does, on both class routes.
+    routes = set()
+    c4_fails = 0
+    for cat, act in _globalizable_cases(32, 300) + [chain_scenario()]:
         glob = build_globalization(cat, act)
         xbar = build_xbar(cat, act)
         classes = equiv_closure(xbar, sim_pairs(cat, act, xbar).pairs)
         ref = _reference_quotient_action(cat, classes, {el: c[0] for c in classes for el in c})
-        assert list(glob.action.items()) == list(ref.items())
+        assert glob.action == ref
+        assert list(glob.action) == sorted(glob.action)
+        routes.add(_anchored(cat, act))
+        c4_fails += not check_category_axioms(cat, act).passed("C4")
+    assert routes == {True, False} and c4_fails > 0
     # At scale: one 440-point restriction (11 S3-groupoid copies).
     cat, kept, table = s3_restriction(random.Random(7), copies=11)
     glob = build_globalization(cat, PartialAction.make(kept, table))
     assert len(glob.source.carrier) == 440
     ref = _reference_quotient_action(cat, glob.classes, glob.class_of)
-    assert list(glob.action.items()) == list(ref.items())
+    assert glob.action == ref
+    assert list(glob.action) == sorted(glob.action)
 
 
 def test_sabotaged_closure_names_the_g_and_rep_of_the_reference_loop(monkeypatch):
